@@ -18,9 +18,9 @@
 // With --readers N,N,... (or CPKC_READER_SWEEP) it runs the *reader-scaling*
 // sweep behind BENCH_read_path.json: at each reader count, a timed read
 // window (CPKC_READ_SECONDS, default 2) under continuous ingest, A/B-ing
-// the locked SyncReads baseline against the wait-free CPLDS view read with
-// both reclamation schemes (epoch, qsbr). Reports read_ops_per_s /
-// read_p50_ns / read_p99_ns plus acked_ops_per_s and reclaimer counters.
+// the locked SyncReads baseline and the Algorithm 4 DAG read against the
+// wait-free CPLDS view read. Reports read_ops_per_s / read_p50_ns /
+// read_p99_ns plus acked_ops_per_s and reclaimer counters.
 //
 // Environment (on top of bench_common's knobs):
 //   CPKC_SERVICE_OPS       ops per client thread        (default 50000)
@@ -28,11 +28,6 @@
 //   CPKC_SERVICE_REPLICAS  max replica count to sweep   (default 0 = off)
 //   CPKC_WRITE_SHARDS      max partition count to sweep (default 0 = off)
 //   CPKC_CLUSTER_WRITERS   writer threads in the replica sweep (default 2)
-//   CPKC_WAL_FORMAT        "binary" (default) or "text": WAL wire format.
-//                          The --write-shards sweep ignores the default and
-//                          runs BOTH formats per partition count (the
-//                          BENCH_wal_v4 text-vs-binary comparison) unless
-//                          this variable pins one.
 //   CPKC_WAL_DURABILITY    "os_cache" | "fdatasync" | "fsync": per-commit
 //                          durability level (default: ServiceConfig's).
 //   CPKC_WAL_ENGINE        consumed by the service layer itself (see
@@ -71,7 +66,6 @@
 
 #include "bench_common.hpp"
 #include "cluster/partition.hpp"
-#include "concurrent/reclaim.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard_group.hpp"
 #include "graph/generators.hpp"
@@ -98,19 +92,6 @@ bool wal_enabled() {
     return std::strtol(v, nullptr, 10) != 0;
   }
   return true;
-}
-
-service::WalFormat wal_format() {
-  if (const char* v = std::getenv("CPKC_WAL_FORMAT")) {
-    if (std::strcmp(v, "text") == 0 || std::strcmp(v, "v3") == 0) {
-      return service::WalFormat::kTextV3;
-    }
-  }
-  return service::WalFormat::kBinaryV4;
-}
-
-std::string format_label(service::WalFormat format) {
-  return format == service::WalFormat::kBinaryV4 ? "binary-v4" : "text-v3";
 }
 
 service::WalDurability wal_durability() {
@@ -182,7 +163,6 @@ void run_cell(std::size_t clients) {
   cfg.num_vertices = n;
   cfg.levels_per_group_cap = bench::opt_cap();
   if (wal_enabled()) cfg.wal_path = wal_path;
-  cfg.wal_format = wal_format();
   cfg.wal_durability = wal_durability();
   cfg.metrics = &obs::MetricsRegistry::instance();
   service::KCoreService svc(cfg);
@@ -215,7 +195,6 @@ void run_cell(std::size_t clients) {
       {"clients", static_cast<std::int64_t>(clients)},
       {"readers", static_cast<std::int64_t>(wl.reader_threads)},
       {"wal", static_cast<std::int64_t>(wal_enabled() ? 1 : 0)},
-      {"wal_format", format_label(wal_format())},
       {"wal_durability", durability_label(wal_durability())},
       {"wal_engine", stats.wal_engine},
       {"wal_flushes", static_cast<std::int64_t>(stats.wal_flushes)},
@@ -243,10 +222,9 @@ void run_cell(std::size_t clients) {
 
 /// One reader-scaling leg: a timed read window (CPKC_READ_SECONDS, default
 /// 2 s) with continuous writer-thread ingest, at a fixed reader count,
-/// read mode, and reclamation scheme. The A/B behind BENCH_read_path.json:
-/// SyncReads is the locked baseline, CPLDS the wait-free view read.
-void run_read_scaling_cell(std::size_t readers, ReadMode mode,
-                           concurrent::ReclaimerKind reclaimer) {
+/// and read mode. The A/B behind BENCH_read_path.json: SyncReads is the
+/// locked baseline, CPLDS the wait-free view read.
+void run_read_scaling_cell(std::size_t readers, ReadMode mode) {
   const auto n = static_cast<vertex_t>(
       100000 * bench::env_size("CPKC_SCALE", 1));
   const std::string wal_path = "/tmp/cpkc_read_scaling.wal";
@@ -256,9 +234,7 @@ void run_read_scaling_cell(std::size_t readers, ReadMode mode,
   cfg.num_vertices = n;
   cfg.levels_per_group_cap = bench::opt_cap();
   if (wal_enabled()) cfg.wal_path = wal_path;
-  cfg.wal_format = wal_format();
   cfg.wal_durability = wal_durability();
-  cfg.reclaimer = reclaimer;
   cfg.metrics = &obs::MetricsRegistry::instance();
   // The DAG cells reproduce the full pre-view default read path: Algorithm
   // 4 double-collect reads plus the write-side descriptor maintenance they
@@ -286,7 +262,6 @@ void run_read_scaling_cell(std::size_t readers, ReadMode mode,
   wl.delete_fraction = 0.2;
   wl.seed = 7;
   const auto result = harness::run_read_scaling(svc, wl);
-  const std::string reclaimer_name(svc.cplds().reclaimer().name());
   const auto rs = svc.cplds().reclaimer().stats();
   // Apply duty over the whole run (window + drain): the fraction of wall
   // time the level structure was mutating, i.e. the fraction SyncReads
@@ -300,7 +275,6 @@ void run_read_scaling_cell(std::size_t readers, ReadMode mode,
       {"readers", static_cast<std::int64_t>(readers)},
       {"writers", static_cast<std::int64_t>(wl.writer_threads)},
       {"read_mode", std::string(to_string(mode))},
-      {"reclaimer", reclaimer_name},
       {"wal", static_cast<std::int64_t>(wal_enabled() ? 1 : 0)},
       {"window_s", result.read_seconds},
       {"reads", static_cast<std::int64_t>(result.total_reads)},
@@ -344,7 +318,6 @@ void run_replicated_cell(std::size_t replicas) {
   ccfg.base.num_vertices = n;
   ccfg.base.levels_per_group_cap = bench::opt_cap();
   if (wal_enabled()) ccfg.base.wal_path = wal_path;
-  ccfg.base.wal_format = wal_format();
   ccfg.base.wal_durability = wal_durability();
   ccfg.base.metrics = &obs::MetricsRegistry::instance();
   cluster::ShardGroup group(ccfg);
@@ -398,7 +371,7 @@ void run_replicated_cell(std::size_t replicas) {
 }
 
 void run_sharded_cell(std::size_t partitions, std::size_t replicas,
-                      std::size_t clients, service::WalFormat format) {
+                      std::size_t clients) {
   const auto n = static_cast<vertex_t>(
       100000 * bench::env_size("CPKC_SCALE", 1));
   const std::string wal_stem = "/tmp/cpkc_sharded_throughput.wal";
@@ -411,7 +384,6 @@ void run_sharded_cell(std::size_t partitions, std::size_t replicas,
   ccfg.base.num_vertices = n;
   ccfg.base.levels_per_group_cap = bench::opt_cap();
   if (wal_enabled()) ccfg.base.wal_path = wal_stem;
-  ccfg.base.wal_format = format;
   ccfg.base.wal_durability = wal_durability();
   ccfg.base.metrics = &obs::MetricsRegistry::instance();
   cluster::ShardGroup group(ccfg);
@@ -475,7 +447,6 @@ void run_sharded_cell(std::size_t partitions, std::size_t replicas,
       {"clients", static_cast<std::int64_t>(clients)},
       {"readers", static_cast<std::int64_t>(wl.reader_threads)},
       {"wal", static_cast<std::int64_t>(wal_enabled() ? 1 : 0)},
-      {"wal_format", format_label(format)},
       {"wal_durability", durability_label(wal_durability())},
       {"wal_engine", wal_engine},
       {"wal_flushes", static_cast<std::int64_t>(wal_flushes)},
@@ -578,36 +549,20 @@ int main(int argc, char** argv) {
     // Reader-scaling A/B at each reader count: the two pre-view baselines
     // (locked SyncReads quiescence reads and the old default Algorithm 4
     // DAG read with its write-side dependency tracking) vs the wait-free
-    // view read under both reclamation schemes.
+    // view read.
     for (const std::size_t r : reader_sweep) {
-      run_read_scaling_cell(r, ReadMode::kSyncReads,
-                            concurrent::ReclaimerKind::kEpoch);
-      run_read_scaling_cell(r, ReadMode::kCpldsDag,
-                            concurrent::ReclaimerKind::kEpoch);
-      run_read_scaling_cell(r, ReadMode::kCplds,
-                            concurrent::ReclaimerKind::kEpoch);
-      run_read_scaling_cell(r, ReadMode::kCplds,
-                            concurrent::ReclaimerKind::kQsbr);
+      run_read_scaling_cell(r, ReadMode::kSyncReads);
+      run_read_scaling_cell(r, ReadMode::kCpldsDag);
+      run_read_scaling_cell(r, ReadMode::kCplds);
     }
     return finish();
   }
   if (max_shards > 0) {
     // Write-scaling sweep: 1..P partitions at a fixed client count; with
     // --replicas R alongside, every partition also drives R replicas.
-    // Per partition count the sweep A/Bs the WAL wire format — text
-    // baseline first, then binary v4 — unless CPKC_WAL_FORMAT pins one
-    // (or the WAL is off, where the format is moot).
     const std::size_t clients = bench::writer_workers();
-    std::vector<service::WalFormat> formats;
-    if (!wal_enabled() || std::getenv("CPKC_WAL_FORMAT") != nullptr) {
-      formats = {wal_format()};
-    } else {
-      formats = {service::WalFormat::kTextV3, service::WalFormat::kBinaryV4};
-    }
     for (std::size_t p = 1; p <= max_shards; ++p) {
-      for (const service::WalFormat format : formats) {
-        run_sharded_cell(p, max_replicas, clients, format);
-      }
+      run_sharded_cell(p, max_replicas, clients);
     }
     return finish();
   }

@@ -75,6 +75,7 @@
 //   health                                 watchdog rollup (JSON)
 //   stall <ms>                             inject an apply-thread stall
 //   quit
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -140,6 +141,29 @@ void print_metrics() {
     return;
   }
   std::fputs(snap.to_prometheus().c_str(), stdout);
+}
+
+/// True iff `v` is a vertex id of an n-vertex graph; otherwise prints an
+/// error and returns false. CPLDS::apply and delete_vertices index by id
+/// without a range check (KCoreService checks at submit), so every id the
+/// single-service mode reads from input passes through here first.
+bool vertex_in_range(vertex_t v, vertex_t n) {
+  if (v < n) return true;
+  std::printf("error: vertex %u out of range (n=%u)\n", v, n);
+  return false;
+}
+
+/// Reads the vertex argument of query/exact; prints an error and returns
+/// nothing when it is missing or out of range.
+std::optional<vertex_t> read_vertex_arg(std::istringstream& in,
+                                        const std::string& cmd, vertex_t n) {
+  vertex_t v;
+  if (!(in >> v)) {
+    std::printf("error: usage: %s <v>\n", cmd.c_str());
+    return std::nullopt;
+  }
+  if (!vertex_in_range(v, n)) return std::nullopt;
+  return v;
 }
 
 struct Session {
@@ -356,8 +380,8 @@ bool handle_cluster(Cluster& c, const std::string& line) {
     return true;
   }
   if (cmd == "query") {
-    vertex_t v;
-    if (in >> v && v < c.group->num_vertices()) {
+    if (const auto arg = read_vertex_arg(in, cmd, c.group->num_vertices())) {
+      const vertex_t v = *arg;
       const auto read = c.router->read_coreness(*c.session, v);
       std::printf("coreness_estimate(%u) = %.3f  (fan-out across %zu "
                   "partition%s)\n",
@@ -377,8 +401,8 @@ bool handle_cluster(Cluster& c, const std::string& line) {
     return true;
   }
   if (cmd == "exact") {
-    vertex_t v;
-    if (in >> v && v < c.group->num_vertices()) {
+    if (const auto arg = read_vertex_arg(in, cmd, c.group->num_vertices())) {
+      const vertex_t v = *arg;
       const auto coreness = exact_coreness(*c.mirror);
       const auto read = c.router->read_coreness(*c.session, v);
       std::printf("exact_coreness(%u) = %u  (estimate %.3f%s)\n", v,
@@ -464,9 +488,10 @@ bool handle(Session& s, const std::string& line) {
     return true;
   }
 
+  const vertex_t n = s.ds->num_vertices();
   if (cmd == "insert" || cmd == "delete") {
     vertex_t u, v;
-    if (in >> u >> v) {
+    if (in >> u >> v && vertex_in_range(u, n) && vertex_in_range(v, n)) {
       UpdateBatch b{cmd == "insert" ? UpdateKind::kInsert
                                     : UpdateKind::kDelete,
                     {{u, v}}};
@@ -487,6 +512,11 @@ bool handle(Session& s, const std::string& line) {
     std::vector<Edge> edges;
     vertex_t u, v;
     while (in >> u >> v) edges.push_back({u, v});
+    if (!std::all_of(edges.begin(), edges.end(), [n](const Edge& e) {
+          return vertex_in_range(e.u, n) && vertex_in_range(e.v, n);
+        })) {
+      return true;
+    }
     UpdateBatch b{kind == "delete" ? UpdateKind::kDelete
                                    : UpdateKind::kInsert,
                   std::move(edges)};
@@ -504,6 +534,10 @@ bool handle(Session& s, const std::string& line) {
     std::vector<vertex_t> victims;
     vertex_t v;
     while (in >> v) victims.push_back(v);
+    if (!std::all_of(victims.begin(), victims.end(),
+                     [n](vertex_t w) { return vertex_in_range(w, n); })) {
+      return true;
+    }
     auto removed = s.ds->delete_vertices(victims);
     s.mirror->delete_batch(removed);
     std::printf("deleted %zu vertices (%zu incident edges); m=%zu\n",
@@ -511,16 +545,16 @@ bool handle(Session& s, const std::string& line) {
     return true;
   }
   if (cmd == "query") {
-    vertex_t v;
-    if (in >> v && v < s.ds->num_vertices()) {
+    if (const auto arg = read_vertex_arg(in, cmd, n)) {
+      const vertex_t v = *arg;
       std::printf("coreness_estimate(%u) = %.3f  (level %d)\n", v,
                   s.ds->read_coreness(v), s.ds->read_level(v));
     }
     return true;
   }
   if (cmd == "exact") {
-    vertex_t v;
-    if (in >> v && v < s.ds->num_vertices()) {
+    if (const auto arg = read_vertex_arg(in, cmd, n)) {
+      const vertex_t v = *arg;
       const auto coreness = exact_coreness(*s.mirror);
       std::printf("exact_coreness(%u) = %u  (estimate %.3f)\n", v,
                   coreness[v], s.ds->read_coreness(v));

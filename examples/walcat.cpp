@@ -1,13 +1,13 @@
 // walcat — dump or verify a write-ahead log human-readably.
 //
-// The binary v4 format trades the text log's `cat`-ability for speed; this
-// tool gives the debuggability back. It prints the header (format, vertex
-// count, base LSN) and then one line per committed record, for either
-// format, and reports where the committed prefix ends (a torn or corrupt
-// tail is diagnosed, not fatal — exactly what a scan after a crash sees).
-// For a v4 log each record line carries its byte offset in the file and
-// its CRC-32 trailer, so an on-disk frame can be located with dd and
-// cross-checked against a shipped copy without re-hashing.
+// The binary v4 log cannot be read with `cat`; this tool gives the
+// debuggability back. It prints the header (vertex count, base LSN) and
+// then one line per committed record, and reports where the committed
+// prefix ends (a torn or corrupt tail is diagnosed, not fatal — exactly
+// what a scan after a crash sees). Each record line carries its byte
+// offset in the file and its CRC-32 trailer, so an on-disk frame can be
+// located with dd and cross-checked against a shipped copy without
+// re-hashing.
 //
 //   walcat [--edges] [--verify] <wal-file>
 //
@@ -16,43 +16,22 @@
 //   --verify  scan silently and check that the committed prefix reaches
 //             the end of the file — the post-crash / post-kill integrity
 //             check. Exits 2 when trailing bytes exist past the committed
-//             prefix (a torn or corrupt tail); a v3 text log may trail
-//             whitespace (a final newline), which is accepted.
+//             prefix (a torn or corrupt tail).
 //
 // Exit status: 0 on a clean dump/verify, 1 on usage/IO/header errors,
 // 2 (--verify) on a torn or corrupt tail.
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "service/wal.hpp"
 
 namespace {
 
-const char* format_name(cpkcore::service::WalFormat format) {
-  return format == cpkcore::service::WalFormat::kBinaryV4 ? "binary-v4"
-                                                          : "text-v3";
-}
-
 const char* kind_name(cpkcore::UpdateKind kind) {
   return kind == cpkcore::UpdateKind::kInsert ? "insert" : "delete";
-}
-
-/// A v3 text log legitimately ends with a newline past the last committed
-/// record; only non-whitespace past the committed prefix is damage.
-bool tail_is_whitespace(const std::string& path, std::uint64_t from) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  in.seekg(static_cast<std::streamoff>(from));
-  char c = 0;
-  while (in.get(c)) {
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
 }
 
 int verify(const std::string& path) {
@@ -61,11 +40,7 @@ int verify(const std::string& path) {
   const service::WalScanInfo info = service::scan_wal_frames(
       path, header.num_vertices, [](const service::WalFramePtr&) {});
   const std::uint64_t file_size = std::filesystem::file_size(path);
-  const bool clean =
-      file_size <= info.committed_bytes ||
-      (info.format == service::WalFormat::kTextV3 &&
-       tail_is_whitespace(path, info.committed_bytes));
-  if (!clean) {
+  if (file_size > info.committed_bytes) {
     std::fprintf(stderr,
                  "walcat: %s: torn or corrupt tail — committed prefix ends "
                  "at byte %llu of %llu (%llu trailing byte(s), last good "
@@ -78,9 +53,9 @@ int verify(const std::string& path) {
                  static_cast<unsigned long long>(info.last_lsn));
     return 2;
   }
-  std::printf("# %s  ok  format=%s  %zu record(s)  last_lsn=%llu  "
+  std::printf("# %s  ok  %zu record(s)  last_lsn=%llu  "
               "committed_bytes=%llu\n",
-              path.c_str(), format_name(info.format), info.records,
+              path.c_str(), info.records,
               static_cast<unsigned long long>(info.last_lsn),
               static_cast<unsigned long long>(info.committed_bytes));
   return 0;
@@ -114,31 +89,22 @@ int main(int argc, char** argv) {
     if (verify_only) return verify(path);
 
     const service::WalHeaderInfo header = service::read_wal_header(path);
-    std::printf("# %s  format=%s  num_vertices=%u  base_lsn=%llu\n", path,
-                format_name(header.format), header.num_vertices,
+    std::printf("# %s  num_vertices=%u  base_lsn=%llu\n", path,
+                header.num_vertices,
                 static_cast<unsigned long long>(header.base_lsn));
-    const bool v4 = header.format == service::WalFormat::kBinaryV4;
     std::size_t total_edges = 0;
-    // v4 frames are lifted verbatim off disk, so the running offset below
-    // is each frame's true file position (starting right after the
-    // header); a v3 record's frame is a re-encode, so no offset is printed
-    // for text logs.
+    // Frames are lifted verbatim off disk, so the running offset below is
+    // each frame's true file position (starting right after the header).
     std::uint64_t offset = service::kWalHeaderV4Bytes;
     const service::WalScanInfo info = service::scan_wal_frames(
         path, header.num_vertices,
         [&](const service::WalFramePtr& frame) {
-          if (v4) {
-            std::printf("off=%llu  lsn=%llu  %s  edges=%zu  crc=%08x\n",
-                        static_cast<unsigned long long>(offset),
-                        static_cast<unsigned long long>(frame->lsn()),
-                        kind_name(frame->kind()), frame->edge_count(),
-                        frame->crc());
-            offset += frame->bytes().size();
-          } else {
-            std::printf("lsn=%llu  %s  edges=%zu\n",
-                        static_cast<unsigned long long>(frame->lsn()),
-                        kind_name(frame->kind()), frame->edge_count());
-          }
+          std::printf("off=%llu  lsn=%llu  %s  edges=%zu  crc=%08x\n",
+                      static_cast<unsigned long long>(offset),
+                      static_cast<unsigned long long>(frame->lsn()),
+                      kind_name(frame->kind()), frame->edge_count(),
+                      frame->crc());
+          offset += frame->bytes().size();
           total_edges += frame->edge_count();
           if (print_edges) {
             const UpdateBatch batch = frame->decode_batch();

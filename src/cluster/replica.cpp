@@ -9,9 +9,8 @@
 namespace cpkcore::cluster {
 
 Replica::Replica(const service::ServiceConfig& like) {
-  reclaimer_ = concurrent::make_reclaimer(like.reclaimer);
   CPLDS::Options options = like.cplds;
-  options.reclaimer = reclaimer_.get();
+  options.reclaimer = &reclaimer_;
   ds_ = std::make_unique<CPLDS>(
       like.num_vertices,
       LDSParams::create(like.num_vertices, like.delta, like.lambda,

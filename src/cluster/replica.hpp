@@ -110,9 +110,8 @@ class Replica {
   void apply_loop();
 
   /// Declared before ds_ (destroyed after it): per-replica reclaimer
-  /// behind the wait-free read path, built from the primary config's
-  /// `reclaimer` kind.
-  std::unique_ptr<concurrent::Reclaimer> reclaimer_;
+  /// behind the wait-free read path.
+  concurrent::Reclaimer reclaimer_;
   std::unique_ptr<CPLDS> ds_;
   LogShipper* shipper_ = nullptr;
   std::uint64_t subscription_ = 0;

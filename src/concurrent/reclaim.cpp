@@ -1,56 +1,39 @@
 #include "concurrent/reclaim.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/event_log.hpp"
-#include "util/cacheline.hpp"
 
 namespace cpkcore::concurrent {
 
+using detail::ReclaimSlot;
+
 namespace {
 
-/// Per-thread reclamation state, one slot per (thread, reclaimer) pair.
-/// `word` is the only cross-thread field: the announced epoch under EBR,
-/// the last-seen (quiescence) epoch under QSBR. kIdle doubles as "not in a
-/// critical section" (EBR) and "never quiesced" (QSBR) — the global epoch
-/// starts at 1 so the sentinel can never collide with a real epoch.
-constexpr std::uint64_t kIdle = 0;
-
-struct alignas(kCacheLine) Slot {
-  std::atomic<bool> claimed{false};
-  std::atomic<std::uint64_t> word{kIdle};
-  std::uint32_t nesting = 0;  ///< owner thread only
-};
-
-constexpr std::size_t kMaxSlots = 256;
+constexpr std::uint64_t kIdle = ReclaimSlot::kIdle;
 
 /// Limbo depth at which a blocked reclamation attempt becomes a journal
 /// event (the EventLog rate-limits repeats per (component, name)).
 constexpr std::size_t kStallEventLimbo = 64;
 
-class ReclaimerBase;
-
-/// Registry of live reclaimers, keyed by a never-reused id. Slot release at
-/// thread exit and reclaimer destruction race freely: both serialize here,
-/// and a thread exiting after "its" reclaimer died simply finds the id
-/// gone. Heap-allocated and leaked so thread-exit destructors can run at
-/// any point of process teardown.
+/// Registry of live reclaimers' slot arrays, keyed by a never-reused id.
+/// Slot release at thread exit and reclaimer destruction race freely: both
+/// serialize here, and a thread exiting after "its" reclaimer died simply
+/// finds the id gone. Heap-allocated and leaked so thread-exit destructors
+/// can run at any point of process teardown.
 std::mutex& registry_mu() {
   static auto* mu = new std::mutex;
   return *mu;
 }
 
-std::unordered_map<std::uint64_t, ReclaimerBase*>& live_reclaimers() {
-  static auto* map = new std::unordered_map<std::uint64_t, ReclaimerBase*>;
+std::unordered_map<std::uint64_t, ReclaimSlot*>& live_reclaimers() {
+  static auto* map = new std::unordered_map<std::uint64_t, ReclaimSlot*>;
   return *map;
 }
+
+std::atomic<std::uint64_t> next_id{1};
 
 struct SlotCache {
   struct Entry {
@@ -63,100 +46,23 @@ struct SlotCache {
 
 thread_local SlotCache t_slots;
 
-/// Slot bookkeeping shared by both algorithms: claim-on-first-pin with a
-/// thread-local cache, release at thread exit, deregistration on
-/// destruction.
-class ReclaimerBase : public Reclaimer {
- public:
-  ReclaimerBase() : id_(next_id_.fetch_add(1, std::memory_order_relaxed)) {
-    std::lock_guard lock(registry_mu());
-    live_reclaimers().emplace(id_, this);
-  }
-
-  ~ReclaimerBase() override {
-    std::lock_guard lock(registry_mu());
-    live_reclaimers().erase(id_);
-  }
-
-  void release_slot(std::uint32_t idx) {
-    Slot& s = slots_[idx];
-    s.word.store(kIdle, std::memory_order_release);
-    s.nesting = 0;
-    // Release store: a scanner that observes the slot unclaimed (acquire)
-    // happens-after every read the departed thread did under a pin.
-    s.claimed.store(false, std::memory_order_release);
-  }
-
- protected:
-  Slot& my_slot() {
-    for (const SlotCache::Entry& e : t_slots.entries) {
-      if (e.reclaimer_id == id_) return slots_[e.slot];
-    }
-    return claim_slot();
-  }
-
-  /// Applies `fn(word)` to every claimed slot; returns false early when fn
-  /// does. Skipped (unclaimed) slots synchronize via the acquire load.
-  template <typename Fn>
-  bool for_each_claimed(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (!s.claimed.load(std::memory_order_acquire)) continue;
-      if (!fn(s.word.load(std::memory_order_seq_cst))) return false;
-    }
-    return true;
-  }
-
- private:
-  Slot& claim_slot() {
-    for (std::uint32_t i = 0; i < kMaxSlots; ++i) {
-      bool expected = false;
-      if (slots_[i].claimed.load(std::memory_order_relaxed)) continue;
-      if (slots_[i].claimed.compare_exchange_strong(
-              expected, true, std::memory_order_acq_rel)) {
-        slots_[i].nesting = 0;
-        slots_[i].word.store(kIdle, std::memory_order_seq_cst);
-        t_slots.entries.push_back({id_, i});
-        return slots_[i];
-      }
-    }
-    throw std::runtime_error(
-        "Reclaimer: out of thread slots (> 256 concurrent reader threads)");
-  }
-
-  static inline std::atomic<std::uint64_t> next_id_{1};
-
-  const std::uint64_t id_;
-  Slot slots_[kMaxSlots];
-};
-
 SlotCache::~SlotCache() {
   std::lock_guard lock(registry_mu());
   auto& live = live_reclaimers();
   for (const Entry& e : entries) {
     auto it = live.find(e.reclaimer_id);
-    if (it != live.end()) it->second->release_slot(e.slot);
+    if (it == live.end()) continue;
+    ReclaimSlot& s = it->second[e.slot];
+    s.epoch.store(kIdle, std::memory_order_release);
+    s.nesting = 0;
+    // Release store: a scanner that observes the slot unclaimed (acquire)
+    // happens-after every read the departed thread did under a pin.
+    s.claimed.store(false, std::memory_order_release);
   }
 }
 
-/// One retired object awaiting its safe epoch.
-struct RetiredObject {
-  void* ptr = nullptr;
-  Reclaimer::Deleter deleter = nullptr;
-  std::uint64_t epoch = 0;
-};
+}  // namespace
 
-void emit_stall_event(std::string_view algo, std::size_t limbo,
-                      std::uint64_t epoch) {
-  obs::EventLog::instance().emit(
-      obs::Severity::kWarn, "reclaim", "reclaimer_stall",
-      {{"algo", std::string(algo)},
-       {"limbo", std::to_string(limbo)},
-       {"epoch", std::to_string(epoch)}});
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-based reclamation (EBR).
-//
 // pin announces the global epoch into the thread's slot with a seq_cst
 // store before the reader's first data load; the view un-publish is a
 // seq_cst store too, so any reader that obtained a since-retired pointer is
@@ -166,263 +72,132 @@ void emit_stall_event(std::string_view algo, std::size_t limbo,
 // epoch or earlier. The epoch advances only when no slot is pinned behind
 // it; after two advances past an object's tag no such reader can still be
 // pinned, and the object is freed.
-// ---------------------------------------------------------------------------
-class EpochReclaimer final : public ReclaimerBase {
- public:
-  void retire(void* p, Deleter deleter) override {
-    std::lock_guard lock(limbo_mu_);
-    limbo_.push_back(
-        {p, deleter, global_.load(std::memory_order_relaxed)});
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    reclaim_locked();
-  }
 
-  std::size_t try_reclaim() override {
-    std::lock_guard lock(limbo_mu_);
-    return reclaim_locked();
-  }
-
-  ~EpochReclaimer() override {
-    // Contract: no pinned readers remain. Free everything still in limbo.
-    for (const RetiredObject& r : limbo_) r.deleter(r.ptr);
-  }
-
-  [[nodiscard]] Stats stats() const override {
-    Stats s;
-    s.epoch_advances = advances_.load(std::memory_order_relaxed);
-    s.retired = retired_.load(std::memory_order_relaxed);
-    s.freed = freed_.load(std::memory_order_relaxed);
-    s.lagging_readers = lagging_.load(std::memory_order_relaxed);
-    std::lock_guard lock(limbo_mu_);
-    s.limbo = limbo_.size();
-    return s;
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "epoch"; }
-  [[nodiscard]] ReclaimerKind kind() const override {
-    return ReclaimerKind::kEpoch;
-  }
-
- protected:
-  void pin() override {
-    Slot& s = my_slot();
-    if (s.nesting++ == 0) {
-      // Announce-then-read: the seq_cst store orders the announcement
-      // before the reader's first shared load, pairing with the seq_cst
-      // view un-publish on the writer (no standalone fences — TSan models
-      // atomic operations, not fences).
-      s.word.store(global_.load(std::memory_order_seq_cst),
-                   std::memory_order_seq_cst);
-    }
-  }
-
-  void unpin() override {
-    Slot& s = my_slot();
-    if (--s.nesting == 0) {
-      s.word.store(kIdle, std::memory_order_release);
-    }
-  }
-
- private:
-  /// Advance-and-free under limbo_mu_. Deleters run inline (they must not
-  /// call back into the reclaimer).
-  std::size_t reclaim_locked() {
-    const std::uint64_t e = global_.load(std::memory_order_relaxed);
-    const bool quiet = for_each_claimed([&](std::uint64_t w) {
-      return w == kIdle || w >= e;  // pinned behind e blocks the advance
-    });
-    if (quiet) {
-      global_.store(e + 1, std::memory_order_seq_cst);
-      advances_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      lagging_.fetch_add(1, std::memory_order_relaxed);
-      if (limbo_.size() >= kStallEventLimbo) {
-        emit_stall_event(name(), limbo_.size(), e);
-      }
-    }
-    const std::uint64_t g = global_.load(std::memory_order_relaxed);
-    std::size_t freed = 0;
-    std::size_t kept = 0;
-    for (RetiredObject& r : limbo_) {
-      if (r.epoch + 2 <= g) {
-        r.deleter(r.ptr);
-        ++freed;
-      } else {
-        limbo_[kept++] = r;
-      }
-    }
-    limbo_.resize(kept);
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    return freed;
-  }
-
-  std::atomic<std::uint64_t> global_{1};
-  mutable std::mutex limbo_mu_;
-  std::vector<RetiredObject> limbo_;  // under limbo_mu_
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> freed_{0};
-  std::atomic<std::uint64_t> lagging_{0};
-};
-
-// ---------------------------------------------------------------------------
-// Quiescent-state-based reclamation (QSBR).
-//
-// pin is a plain nesting bump — no ordered store, the cheapest possible
-// read side. unpin *is* the quiescent-state declaration: one release store
-// of the current global epoch. An object retired at epoch e was
-// un-published first, and every reader that could hold it last quiesced at
-// an epoch <= e (the epoch is bumped after the retire is staged), so the
-// object is free once every registered slot has declared >= e + 1. The
-// price: a registered thread that stops reading without exiting never
-// re-declares and stalls reclamation — tracked in lagging_readers and
-// journaled as reclaimer_stall.
-// ---------------------------------------------------------------------------
-class QsbrReclaimer final : public ReclaimerBase {
- public:
-  void retire(void* p, Deleter deleter) override {
-    std::lock_guard lock(limbo_mu_);
-    limbo_.push_back(
-        {p, deleter, global_.load(std::memory_order_relaxed)});
-    retired_.fetch_add(1, std::memory_order_relaxed);
-    // Epoch bump after the object is staged: readers quiescing at the new
-    // epoch provably did so after the un-publish (release store pairs with
-    // the acquire load in unpin's epoch read path via seq_cst).
-    global_.fetch_add(1, std::memory_order_seq_cst);
-    advances_.fetch_add(1, std::memory_order_relaxed);
-    reclaim_locked();
-  }
-
-  std::size_t try_reclaim() override {
-    std::lock_guard lock(limbo_mu_);
-    return reclaim_locked();
-  }
-
-  ~QsbrReclaimer() override {
-    for (const RetiredObject& r : limbo_) r.deleter(r.ptr);
-  }
-
-  [[nodiscard]] Stats stats() const override {
-    Stats s;
-    s.epoch_advances = advances_.load(std::memory_order_relaxed);
-    s.retired = retired_.load(std::memory_order_relaxed);
-    s.freed = freed_.load(std::memory_order_relaxed);
-    s.lagging_readers = lagging_.load(std::memory_order_relaxed);
-    std::lock_guard lock(limbo_mu_);
-    s.limbo = limbo_.size();
-    return s;
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "qsbr"; }
-  [[nodiscard]] ReclaimerKind kind() const override {
-    return ReclaimerKind::kQsbr;
-  }
-
- protected:
-  void pin() override { my_slot().nesting++; }
-
-  void unpin() override {
-    Slot& s = my_slot();
-    if (--s.nesting == 0) {
-      // Quiescent-state declaration. The release store orders every read
-      // of the finished critical section before it; the reclaim scan's
-      // seq_cst load pairs with it.
-      s.word.store(global_.load(std::memory_order_seq_cst),
-                   std::memory_order_release);
-    }
-  }
-
- private:
-  std::size_t reclaim_locked() {
-    // min over registered slots of the last-declared epoch; a slot that
-    // never quiesced (kIdle) pins the minimum at 0.
-    std::uint64_t min_seen = ~std::uint64_t{0};
-    for_each_claimed([&](std::uint64_t w) {
-      min_seen = std::min(min_seen, w);
-      return true;
-    });
-    std::size_t freed = 0;
-    std::size_t kept = 0;
-    for (RetiredObject& r : limbo_) {
-      if (min_seen != ~std::uint64_t{0} && r.epoch >= min_seen) {
-        limbo_[kept++] = r;  // some thread has not quiesced past it yet
-      } else {
-        r.deleter(r.ptr);
-        ++freed;
-      }
-    }
-    limbo_.resize(kept);
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    if (kept > 0) {
-      lagging_.fetch_add(1, std::memory_order_relaxed);
-      if (kept >= kStallEventLimbo) {
-        emit_stall_event(name(), kept,
-                         global_.load(std::memory_order_relaxed));
-      }
-    }
-    return freed;
-  }
-
-  std::atomic<std::uint64_t> global_{1};
-  mutable std::mutex limbo_mu_;
-  std::vector<RetiredObject> limbo_;  // under limbo_mu_
-  std::atomic<std::uint64_t> advances_{0};
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> freed_{0};
-  std::atomic<std::uint64_t> lagging_{0};
-};
-
-}  // namespace
-
-std::string_view to_string(ReclaimerKind kind) {
-  switch (kind) {
-    case ReclaimerKind::kAuto:
-      return "auto";
-    case ReclaimerKind::kEpoch:
-      return "epoch";
-    case ReclaimerKind::kQsbr:
-      return "qsbr";
-  }
-  return "?";
+Reclaimer::Reclaimer() : id_(next_id.fetch_add(1, std::memory_order_relaxed)) {
+  std::lock_guard lock(registry_mu());
+  live_reclaimers().emplace(id_, slots_);
 }
 
-ReclaimerKind parse_reclaimer_kind(std::string_view name) {
-  if (name == "auto") return ReclaimerKind::kAuto;
-  if (name == "epoch" || name == "ebr") return ReclaimerKind::kEpoch;
-  if (name == "qsbr") return ReclaimerKind::kQsbr;
-  throw std::invalid_argument("unknown reclaimer kind: " +
-                              std::string(name));
-}
-
-ReclaimerKind resolve_reclaimer_kind(ReclaimerKind kind) {
-  if (kind != ReclaimerKind::kAuto) return kind;
-  if (const char* env = std::getenv("CPKC_RECLAIMER");
-      env != nullptr && *env != '\0') {
-    if (std::string_view(env) == "epoch" || std::string_view(env) == "ebr") {
-      return ReclaimerKind::kEpoch;
-    }
-    if (std::string_view(env) == "qsbr") return ReclaimerKind::kQsbr;
-    // An unknown override falls through to the default rather than failing
-    // service startup.
+Reclaimer::~Reclaimer() {
+  {
+    std::lock_guard lock(registry_mu());
+    live_reclaimers().erase(id_);
   }
-  return ReclaimerKind::kEpoch;
+  // Contract: no pinned readers remain. Free everything still in limbo.
+  for (const RetiredObject& r : limbo_) r.deleter(r.ptr);
 }
 
-std::unique_ptr<Reclaimer> make_reclaimer(ReclaimerKind kind) {
-  switch (resolve_reclaimer_kind(kind)) {
-    case ReclaimerKind::kQsbr:
-      return std::make_unique<QsbrReclaimer>();
-    case ReclaimerKind::kEpoch:
-    case ReclaimerKind::kAuto:
+ReclaimSlot& Reclaimer::my_slot() {
+  for (const SlotCache::Entry& e : t_slots.entries) {
+    if (e.reclaimer_id == id_) return slots_[e.slot];
+  }
+  return claim_slot();
+}
+
+ReclaimSlot& Reclaimer::claim_slot() {
+  for (std::uint32_t i = 0; i < kMaxSlots; ++i) {
+    bool expected = false;
+    if (slots_[i].claimed.load(std::memory_order_relaxed)) continue;
+    if (slots_[i].claimed.compare_exchange_strong(
+            expected, true, std::memory_order_acq_rel)) {
+      slots_[i].nesting = 0;
+      slots_[i].epoch.store(kIdle, std::memory_order_seq_cst);
+      t_slots.entries.push_back({id_, i});
+      return slots_[i];
+    }
+  }
+  throw std::runtime_error(
+      "Reclaimer: out of thread slots (> 256 concurrent reader threads)");
+}
+
+void Reclaimer::pin() {
+  ReclaimSlot& s = my_slot();
+  if (s.nesting++ == 0) {
+    // Announce-then-read: the seq_cst store orders the announcement
+    // before the reader's first shared load, pairing with the seq_cst
+    // view un-publish on the writer (no standalone fences — TSan models
+    // atomic operations, not fences).
+    s.epoch.store(global_.load(std::memory_order_seq_cst),
+                  std::memory_order_seq_cst);
+  }
+}
+
+void Reclaimer::unpin() {
+  ReclaimSlot& s = my_slot();
+  if (--s.nesting == 0) {
+    s.epoch.store(kIdle, std::memory_order_release);
+  }
+}
+
+void Reclaimer::retire(void* p, Deleter deleter) {
+  std::lock_guard lock(limbo_mu_);
+  limbo_.push_back({p, deleter, global_.load(std::memory_order_relaxed)});
+  retired_.fetch_add(1, std::memory_order_relaxed);
+  reclaim_locked();
+}
+
+std::size_t Reclaimer::try_reclaim() {
+  std::lock_guard lock(limbo_mu_);
+  return reclaim_locked();
+}
+
+Reclaimer::Stats Reclaimer::stats() const {
+  Stats s;
+  s.epoch_advances = advances_.load(std::memory_order_relaxed);
+  s.retired = retired_.load(std::memory_order_relaxed);
+  s.freed = freed_.load(std::memory_order_relaxed);
+  s.lagging_readers = lagging_.load(std::memory_order_relaxed);
+  std::lock_guard lock(limbo_mu_);
+  s.limbo = limbo_.size();
+  return s;
+}
+
+// Deleters run inline (they must not call back into the reclaimer).
+std::size_t Reclaimer::reclaim_locked() {
+  const std::uint64_t e = global_.load(std::memory_order_relaxed);
+  bool quiet = true;
+  for (const ReclaimSlot& s : slots_) {
+    // Skipped (unclaimed) slots synchronize via the acquire load.
+    if (!s.claimed.load(std::memory_order_acquire)) continue;
+    const std::uint64_t w = s.epoch.load(std::memory_order_seq_cst);
+    if (w != kIdle && w < e) {  // pinned behind e blocks the advance
+      quiet = false;
       break;
+    }
   }
-  return std::make_unique<EpochReclaimer>();
+  if (quiet) {
+    global_.store(e + 1, std::memory_order_seq_cst);
+    advances_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    lagging_.fetch_add(1, std::memory_order_relaxed);
+    if (limbo_.size() >= kStallEventLimbo) {
+      obs::EventLog::instance().emit(
+          obs::Severity::kWarn, "reclaim", "reclaimer_stall",
+          {{"algo", std::string(name())},
+           {"limbo", std::to_string(limbo_.size())},
+           {"epoch", std::to_string(e)}});
+    }
+  }
+  const std::uint64_t g = global_.load(std::memory_order_relaxed);
+  std::size_t freed = 0;
+  std::size_t kept = 0;
+  for (RetiredObject& r : limbo_) {
+    if (r.epoch + 2 <= g) {
+      r.deleter(r.ptr);
+      ++freed;
+    } else {
+      limbo_[kept++] = r;
+    }
+  }
+  limbo_.resize(kept);
+  freed_.fetch_add(freed, std::memory_order_relaxed);
+  return freed;
 }
 
 Reclaimer& global_reclaimer() {
   // Leaked: bare CPLDS instances retire into it until process exit, and
   // thread-exit slot releases must outlive static destruction order.
-  static Reclaimer* instance = make_reclaimer().release();
+  static auto* instance = new Reclaimer;
   return *instance;
 }
 

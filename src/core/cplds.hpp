@@ -12,9 +12,9 @@
 // is the swap), which is strictly stronger than Algorithm 4's per-vertex
 // guarantee. The paper's original descriptor/DAG protocol survives as
 // read_coreness_dag/read_level_dag (lock-free with retries; the ablation
-// benches exercise its §5.2/§5.3 optimizations). Retired views go through
-// a pluggable concurrent::Reclaimer (Options::reclaimer; epoch-based by
-// default).
+// benches exercise its §5.2/§5.3 optimizations). Retired views are freed
+// by epoch-based reclamation: a concurrent::Reclaimer instance, chosen per
+// structure through Options::reclaimer.
 //
 // Threading contract:
 //  * Updates: one driver thread calls insert_batch/delete_batch/apply; the
@@ -69,8 +69,8 @@ class CPLDS {
     /// Memory reclamation behind the wait-free read path: retired
     /// LevelViews are freed through this reclaimer once no reader can hold
     /// them. Null (the default) uses concurrent::global_reclaimer(); the
-    /// serving layer wires a per-service instance (ServiceConfig::
-    /// reclaimer) that must outlive the CPLDS.
+    /// serving layer wires a per-service / per-replica instance that must
+    /// outlive the CPLDS.
     concurrent::Reclaimer* reclaimer = nullptr;
   };
 

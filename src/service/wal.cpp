@@ -11,7 +11,6 @@
 #include <string>
 
 #include "obs/health.hpp"
-#include "util/crc32.hpp"
 
 namespace cpkcore::service {
 
@@ -88,117 +87,6 @@ void replace_file(const std::string& path,
   }
 }
 
-// ---------------------------------------------------------------- v3 text
-
-struct ParsedLog {
-  std::streampos committed_end{};
-  std::size_t records = 0;
-  std::uint64_t base_lsn = 0;
-  std::uint64_t last_lsn = 0;
-};
-
-/// Parses header + committed batches of a v3 text log from an open stream;
-/// the first malformed / unterminated / out-of-sequence record marks the
-/// uncommitted tail and stops the parse. Throws on a bad header only.
-ParsedLog parse_committed_v3(std::ifstream& in, const std::string& path,
-                             vertex_t num_vertices,
-                             const WalReplayFn& on_batch) {
-  std::string magic;
-  if (!std::getline(in, magic) || magic != kWalMagicV3) {
-    throw std::runtime_error("bad WAL header in " + path);
-  }
-  vertex_t file_n = 0;
-  std::uint64_t base = 0;
-  if (!(in >> file_n >> base)) {
-    throw std::runtime_error("bad WAL vertex count in " + path);
-  }
-  if (file_n != num_vertices) {
-    throw std::runtime_error("WAL vertex count mismatch in " + path);
-  }
-  ParsedLog out;
-  out.base_lsn = base;
-  out.last_lsn = base;
-  out.committed_end = in.tellg();
-  for (;;) {
-    char tag = 0;
-    if (!(in >> tag) || tag != 'B') break;
-    char kind = 0;
-    std::size_t count = 0;
-    std::uint64_t lsn = 0;
-    if (!(in >> kind >> count >> lsn) || (kind != 'I' && kind != 'D')) break;
-    // LSNs are consecutive from the base; a gap or regression means the
-    // record was never fully committed (or the file is damaged past the
-    // committed prefix) — stop here, like any other malformed tail.
-    if (lsn != out.last_lsn + 1) break;
-    UpdateBatch batch;
-    batch.kind = kind == 'I' ? UpdateKind::kInsert : UpdateKind::kDelete;
-    batch.edges.reserve(count);
-    bool ok = true;
-    for (std::size_t i = 0; i < count; ++i) {
-      vertex_t u = 0;
-      vertex_t v = 0;
-      if (!(in >> u >> v) || u >= num_vertices || v >= num_vertices) {
-        ok = false;
-        break;
-      }
-      batch.edges.push_back({u, v});
-    }
-    if (!ok) break;
-    char marker = 0;
-    std::size_t marker_count = 0;
-    std::uint64_t marker_lsn = 0;
-    std::uint32_t marker_crc = 0;
-    if (!(in >> marker >> marker_count >> marker_lsn >> marker_crc) ||
-        marker != 'C' || marker_count != count || marker_lsn != lsn ||
-        marker_crc != wal_record_crc(lsn, batch)) {
-      break;
-    }
-    if (on_batch) on_batch(lsn, batch);
-    ++out.records;
-    out.last_lsn = lsn;
-    out.committed_end = in.tellg();
-  }
-  return out;
-}
-
-void append_text_header(std::vector<unsigned char>& out,
-                        vertex_t num_vertices, std::uint64_t base_lsn) {
-  std::string s = kWalMagicV3;
-  s += '\n';
-  s += std::to_string(num_vertices);
-  s += ' ';
-  s += std::to_string(base_lsn);
-  s += '\n';
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-void append_text_record(std::vector<unsigned char>& out, std::uint64_t lsn,
-                        const UpdateBatch& batch) {
-  std::string s = "B ";
-  s += batch.kind == UpdateKind::kInsert ? 'I' : 'D';
-  s += ' ';
-  s += std::to_string(batch.edges.size());
-  s += ' ';
-  s += std::to_string(lsn);
-  s += '\n';
-  for (const Edge& e : batch.edges) {
-    s += std::to_string(e.u);
-    s += ' ';
-    s += std::to_string(e.v);
-    s += '\n';
-  }
-  s += "C ";
-  s += std::to_string(batch.edges.size());
-  s += ' ';
-  s += std::to_string(lsn);
-  s += ' ';
-  s += std::to_string(wal_record_crc(lsn, batch));
-  s += '\n';
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-// -------------------------------------------------------------- v4 binary
-
 struct ParsedV4 {
   std::size_t committed_end = 0;
   std::size_t records = 0;
@@ -241,18 +129,6 @@ ParsedV4 parse_committed_v4(const unsigned char* data, std::size_t size,
 
 }  // namespace
 
-std::uint32_t wal_record_crc(std::uint64_t lsn, const UpdateBatch& batch) {
-  Crc32 crc;
-  crc.update_u8(batch.kind == UpdateKind::kInsert ? 'I' : 'D');
-  crc.update_u64(batch.edges.size());
-  crc.update_u64(lsn);
-  for (const Edge& e : batch.edges) {
-    crc.update_u32(e.u);
-    crc.update_u32(e.v);
-  }
-  return crc.value();
-}
-
 WalOpenInfo WriteAheadLog::open(const std::string& path,
                                 vertex_t num_vertices,
                                 const WalReplayFn& on_batch,
@@ -262,7 +138,6 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   num_vertices_ = num_vertices;
   base_lsn_ = 0;
   options_ = options;
-  format_ = options.format;
   buf_.clear();
   size_ = 0;
   prealloc_limit_ = 0;
@@ -281,70 +156,22 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   // silently overwriting it would destroy evidence.
   if (fs::exists(path) && fs::file_size(path) > 0) {
     const std::vector<unsigned char> contents = slurp(path);
-    if (starts_with(contents, kWalMagicV4)) {
-      // An existing v4 file stays v4 regardless of the configured format.
-      format_ = WalFormat::kBinaryV4;
-      const ParsedV4 parsed = parse_committed_v4(
-          contents.data(), contents.size(), path, num_vertices,
-          on_batch == nullptr
-              ? WalFrameFn{}
-              : WalFrameFn{[&](const WalFramePtr& f) {
-                  on_batch(f->lsn(), f->decode_batch());
-                }});
-      base_lsn_ = parsed.base_lsn;
-      info.replayed = parsed.records;
-      info.last_lsn = parsed.last_lsn;
-      if (parsed.committed_end < contents.size()) {
-        fs::resize_file(path, parsed.committed_end);
-      }
-      size_ = parsed.committed_end;
-    } else if (starts_with(contents, kWalMagicV3)) {
-      const bool migrate = options_.format == WalFormat::kBinaryV4;
-      std::vector<unsigned char> rebuilt;
-      std::ifstream in(path);
-      if (!in) throw std::runtime_error("cannot open WAL: " + path);
-      const ParsedLog parsed = parse_committed_v3(
-          in, path, num_vertices,
-          [&](std::uint64_t lsn, const UpdateBatch& batch) {
-            if (migrate) {
-              const WalFramePtr f = WalFrame::encode(lsn, batch);
-              rebuilt.insert(rebuilt.end(), f->bytes().begin(),
-                             f->bytes().end());
-            }
-            if (on_batch) on_batch(lsn, batch);
-          });
-      in.close();
-      base_lsn_ = parsed.base_lsn;
-      info.replayed = parsed.records;
-      info.last_lsn = parsed.last_lsn;
-      if (migrate) {
-        // Migration: atomically rewrite the replayed prefix as v4, so the
-        // log's history survives even though no snapshot may cover it yet.
-        std::vector<unsigned char> image;
-        append_wal_header_v4(image, num_vertices_, base_lsn_);
-        image.insert(image.end(), rebuilt.begin(), rebuilt.end());
-        replace_file(path, image);
-        format_ = WalFormat::kBinaryV4;
-        info.migrated = true;
-        size_ = image.size();
-      } else {
-        format_ = WalFormat::kTextV3;
-        if (parsed.committed_end >= 0 &&
-            static_cast<std::uintmax_t>(parsed.committed_end) <
-                fs::file_size(path)) {
-          fs::resize_file(path,
-                          static_cast<std::uintmax_t>(parsed.committed_end));
-        }
-        size_ = static_cast<std::uint64_t>(
-            std::max<std::streamoff>(0, parsed.committed_end));
-        // The committed prefix may end mid-line (tellg stops before the
-        // newline); records are whitespace-delimited, so one separator
-        // keeps the stream parseable.
-        buf_.push_back('\n');
-      }
-    } else {
+    if (!starts_with(contents, kWalMagicV4)) {
       throw std::runtime_error("bad WAL header in " + path);
     }
+    const ParsedV4 parsed = parse_committed_v4(
+        contents.data(), contents.size(), path, num_vertices,
+        on_batch == nullptr ? WalFrameFn{}
+                            : WalFrameFn{[&](const WalFramePtr& f) {
+                                on_batch(f->lsn(), f->decode_batch());
+                              }});
+    base_lsn_ = parsed.base_lsn;
+    info.replayed = parsed.records;
+    info.last_lsn = parsed.last_lsn;
+    if (parsed.committed_end < contents.size()) {
+      fs::resize_file(path, parsed.committed_end);
+    }
+    size_ = parsed.committed_end;
     fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
     if (fd_ < 0) throw std::runtime_error("cannot append to WAL: " + path);
   } else {
@@ -352,9 +179,8 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
                  0644);
     if (fd_ < 0) throw std::runtime_error("cannot create WAL: " + path);
     created = true;
-    append_file_header();
+    append_wal_header_v4(buf_, num_vertices_, base_lsn_);
   }
-  info.format = format_;
   prealloc_limit_ = size_;
   const std::uint64_t start_lsn = info.replayed > 0 ? info.last_lsn : base_lsn_;
   staged_lsn_.store(start_lsn, std::memory_order_relaxed);
@@ -363,7 +189,7 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   flush();
   // A freshly-created file only survives power failure once its directory
   // entry is durable too; at the sync durability levels, close that window
-  // here (migration's replace_file already fsyncs the directory itself).
+  // here.
   if (created && options_.durability != WalDurability::kOsCache) {
     sync_parent_dir();
   }
@@ -452,31 +278,13 @@ std::shared_ptr<WalCommitEngine> WriteAheadLog::engine_snapshot() const {
   return engine_;
 }
 
-void WriteAheadLog::append_file_header() {
-  if (format_ == WalFormat::kBinaryV4) {
-    append_wal_header_v4(buf_, num_vertices_, base_lsn_);
-  } else {
-    append_text_header(buf_, num_vertices_, base_lsn_);
-  }
-}
-
 void WriteAheadLog::append(const WalFrame& frame) {
-  if (format_ != WalFormat::kBinaryV4) {
-    throw std::logic_error(
-        "WriteAheadLog::append(WalFrame): log is not in binary format");
-  }
   buf_.insert(buf_.end(), frame.bytes().begin(), frame.bytes().end());
   staged_lsn_.store(frame.lsn(), std::memory_order_release);
 }
 
 void WriteAheadLog::append(std::uint64_t lsn, const UpdateBatch& batch) {
-  if (format_ == WalFormat::kBinaryV4) {
-    const WalFramePtr frame = WalFrame::encode(lsn, batch);
-    buf_.insert(buf_.end(), frame->bytes().begin(), frame->bytes().end());
-  } else {
-    append_text_record(buf_, lsn, batch);
-  }
-  staged_lsn_.store(lsn, std::memory_order_release);
+  append(*WalFrame::encode(lsn, batch));
 }
 
 void WriteAheadLog::write_out(const unsigned char* data, std::size_t len) {
@@ -620,11 +428,10 @@ void WriteAheadLog::reset(std::uint64_t base_lsn) {
     throw std::runtime_error("cannot reset WAL: " + path_);
   }
   base_lsn_ = base_lsn;
-  format_ = options_.format;
   buf_.clear();
   size_ = 0;
   prealloc_limit_ = 0;
-  append_file_header();
+  append_wal_header_v4(buf_, num_vertices_, base_lsn_);
   staged_lsn_.store(base_lsn, std::memory_order_relaxed);
   durable_lsn_.store(base_lsn, std::memory_order_relaxed);
   flush();
@@ -639,26 +446,14 @@ void WriteAheadLog::compact(std::uint64_t base_lsn) {
   flush();  // the scan below must see every appended record
   std::vector<unsigned char> image;
   const std::vector<unsigned char> contents = slurp(path_);
-  if (format_ == WalFormat::kBinaryV4) {
-    append_wal_header_v4(image, num_vertices_, base_lsn);
-    parse_committed_v4(contents.data(), contents.size(), path_,
-                       num_vertices_, [&](const WalFramePtr& f) {
-                         if (f->lsn() > base_lsn) {
-                           image.insert(image.end(), f->bytes().begin(),
-                                        f->bytes().end());
-                         }
-                       });
-  } else {
-    append_text_header(image, num_vertices_, base_lsn);
-    std::ifstream in(path_);
-    if (!in) throw std::runtime_error("cannot open WAL: " + path_);
-    parse_committed_v3(in, path_, num_vertices_,
-                       [&](std::uint64_t lsn, const UpdateBatch& batch) {
-                         if (lsn > base_lsn) {
-                           append_text_record(image, lsn, batch);
-                         }
-                       });
-  }
+  append_wal_header_v4(image, num_vertices_, base_lsn);
+  parse_committed_v4(contents.data(), contents.size(), path_, num_vertices_,
+                     [&](const WalFramePtr& f) {
+                       if (f->lsn() > base_lsn) {
+                         image.insert(image.end(), f->bytes().begin(),
+                                      f->bytes().end());
+                       }
+                     });
   replace_file(path_, image);
   ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
@@ -712,35 +507,15 @@ WalScanInfo scan_wal_frames(const std::string& path, vertex_t num_vertices,
   WalScanInfo info;
   if (!fs::exists(path) || fs::file_size(path) == 0) return info;
   const std::vector<unsigned char> contents = slurp(path);
-  if (starts_with(contents, kWalMagicV4)) {
-    const ParsedV4 parsed = parse_committed_v4(
-        contents.data(), contents.size(), path, num_vertices, on_frame);
-    info.records = parsed.records;
-    info.base_lsn = parsed.base_lsn;
-    info.last_lsn = parsed.last_lsn;
-    info.format = WalFormat::kBinaryV4;
-    info.committed_bytes = parsed.committed_end;
-  } else if (starts_with(contents, kWalMagicV3)) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open WAL: " + path);
-    // The legacy seam: a v3 file has no frames on disk, so serving frames
-    // from it costs one encode per record.
-    const ParsedLog parsed = parse_committed_v3(
-        in, path, num_vertices,
-        on_frame == nullptr
-            ? WalReplayFn{}
-            : WalReplayFn{[&](std::uint64_t lsn, const UpdateBatch& batch) {
-                on_frame(WalFrame::encode(lsn, batch));
-              }});
-    info.records = parsed.records;
-    info.base_lsn = parsed.base_lsn;
-    info.last_lsn = parsed.last_lsn;
-    info.format = WalFormat::kTextV3;
-    info.committed_bytes = static_cast<std::uint64_t>(
-        std::max<std::streamoff>(0, parsed.committed_end));
-  } else {
+  if (!starts_with(contents, kWalMagicV4)) {
     throw std::runtime_error("bad WAL header in " + path);
   }
+  const ParsedV4 parsed = parse_committed_v4(
+      contents.data(), contents.size(), path, num_vertices, on_frame);
+  info.records = parsed.records;
+  info.base_lsn = parsed.base_lsn;
+  info.last_lsn = parsed.last_lsn;
+  info.committed_bytes = parsed.committed_end;
   return info;
 }
 
@@ -750,29 +525,13 @@ WalHeaderInfo read_wal_header(const std::string& path) {
     throw std::runtime_error("missing or empty WAL: " + path);
   }
   const std::vector<unsigned char> contents = slurp(path);
-  WalHeaderInfo info;
-  if (starts_with(contents, kWalMagicV4)) {
-    if (contents.size() < kWalHeaderV4Bytes) {
-      throw std::runtime_error("bad WAL header in " + path);
-    }
-    info.format = WalFormat::kBinaryV4;
-    info.num_vertices = get_u32(contents.data() + 12);
-    info.base_lsn = get_u64(contents.data() + 16);
-  } else if (starts_with(contents, kWalMagicV3)) {
-    std::ifstream in(path);
-    std::string magic;
-    std::getline(in, magic);
-    vertex_t n = 0;
-    std::uint64_t base = 0;
-    if (!(in >> n >> base)) {
-      throw std::runtime_error("bad WAL vertex count in " + path);
-    }
-    info.format = WalFormat::kTextV3;
-    info.num_vertices = n;
-    info.base_lsn = base;
-  } else {
+  if (!starts_with(contents, kWalMagicV4) ||
+      contents.size() < kWalHeaderV4Bytes) {
     throw std::runtime_error("bad WAL header in " + path);
   }
+  WalHeaderInfo info;
+  info.num_vertices = get_u32(contents.data() + 12);
+  info.base_lsn = get_u64(contents.data() + 16);
   return info;
 }
 

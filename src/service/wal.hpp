@@ -8,33 +8,21 @@
 // track the last LSN they applied, and the router's read-your-writes
 // sessions pin reads to "at or after my last acked LSN".
 //
-// Formats (WalOptions::format — see wal_codec.hpp for the frame layout):
-//
-//   kBinaryV4   the default: a 24-byte header (magic "cpkc-wal-v4\n",
-//               num_vertices, base_lsn) followed by length-prefixed,
-//               CRC32-trailered binary WalFrames. append(const WalFrame&)
-//               is a buffered memcpy of bytes the apply thread encoded
-//               exactly once — the same bytes the shipper ring retains and
-//               replicas decode.
-//   kTextV3     the legacy line-oriented format (PR 3-5), kept readable
-//               *and* writable as the migration source and the benchmark
-//               baseline:
-//                 cpkcore-wal-v3
-//                 <num_vertices> <base_lsn>
-//                 B I <count> <lsn>   then <count> "<u> <v>" edge lines,
-//                 C <count> <lsn> <crc>   the commit marker (value CRC32)
+// On-disk format (see wal_codec.hpp for the frame layout): a 24-byte
+// header (magic "cpkc-wal-v4\n", num_vertices, base_lsn) followed by
+// length-prefixed, CRC32-trailered binary WalFrames.
+// append(const WalFrame&) is a buffered memcpy of bytes the apply thread
+// encoded exactly once — the same bytes the shipper ring retains and
+// replicas decode.
 //
 // `base_lsn` is the LSN as of the last compaction: the log holds exactly
 // LSNs (base_lsn, last_lsn], consecutively. A batch is durable iff its full
-// record parses on replay AND its checksum matches; a truncated tail (crash
+// frame parses on replay AND its checksum matches; a truncated tail (crash
 // between append and group commit), a torn length prefix, and a
 // bit-flipped payload are treated identically — discarded, and the file is
-// truncated back to the last committed byte before appending resumes.
-//
-// Opening a v3 text log with kBinaryV4 configured replays it and atomically
-// rewrites it in v4 (temp file + rename + parent-dir fsync), so old
-// deployments migrate on their first restart; opening a v4 file always
-// stays v4 regardless of the configured format.
+// truncated back to the last committed byte before appending resumes. A
+// file whose first line is not the v4 magic is rejected with "bad WAL
+// header" and left untouched.
 //
 // Durability is configurable at the group-commit point (WalOptions):
 //   kOsCache   buffered write only — survives process crashes (the default,
@@ -87,9 +75,6 @@ namespace cpkcore::service {
 
 struct WalOptions {
   WalDurability durability = WalDurability::kOsCache;
-  /// Format for fresh logs and reset(); an existing file's detected format
-  /// wins for appends (v3 only until migration), see file header.
-  WalFormat format = WalFormat::kBinaryV4;
   /// Preallocation step (bytes) ahead of the append frontier; 0 disables.
   std::size_t preallocate_bytes = std::size_t{4} << 20;
   /// Commit engine. kSync keeps flush() on the caller; kAuto/kFlusher/
@@ -109,22 +94,13 @@ struct WalOptions {
 
 /// Replay/scan callback: (lsn, batch), in strictly increasing LSN order.
 using WalReplayFn = std::function<void(std::uint64_t, const UpdateBatch&)>;
-/// Frame-scan callback: encoded frames, no payload decode (v4 files).
+/// Frame-scan callback: encoded frames, no payload decode.
 using WalFrameFn = std::function<void(const WalFramePtr&)>;
-
-/// The checksum stored in a *v3* record's commit marker: CRC32 over the
-/// record's logical content (kind, edge count, LSN, every edge's endpoints)
-/// in a fixed byte order. Exposed so tests and external tooling can craft
-/// or verify legacy records. (v4 frames carry a CRC over their wire bytes
-/// instead — see wal_codec.hpp.)
-std::uint32_t wal_record_crc(std::uint64_t lsn, const UpdateBatch& batch);
 
 /// What open() found in an existing log.
 struct WalOpenInfo {
   std::size_t replayed = 0;      ///< committed batches replayed
   std::uint64_t last_lsn = 0;    ///< last committed LSN (= base_lsn if none)
-  WalFormat format = WalFormat::kBinaryV4;  ///< format the log operates in
-  bool migrated = false;         ///< v3 file was rewritten as v4
   WalEngineKind engine = WalEngineKind::kSync;  ///< resolved commit engine
 };
 
@@ -138,22 +114,20 @@ class WriteAheadLog {
 
   /// Opens the log at `path` for an n-vertex structure. If the file exists,
   /// replays every committed batch through `on_batch` (in append order),
-  /// truncates any uncommitted tail, migrates v3 -> v4 when so configured,
-  /// and positions for appending; otherwise creates the file with a fresh
-  /// header (base LSN 0). Throws std::runtime_error on IO errors or a
-  /// vertex-count / magic mismatch.
+  /// truncates any uncommitted tail, and positions for appending;
+  /// otherwise creates the file with a fresh header (base LSN 0). Throws
+  /// std::runtime_error on IO errors or a vertex-count / magic mismatch.
   WalOpenInfo open(const std::string& path, vertex_t num_vertices,
                    const WalReplayFn& on_batch, WalOptions options = {});
 
   /// Appends one pre-encoded frame (buffered — not committed until
   /// flush()). The encode-once path: the caller encoded the batch, and the
-  /// identical bytes go to disk here and to the shipper ring. The log must
-  /// be operating in kBinaryV4 (std::logic_error otherwise).
+  /// identical bytes go to disk here and to the shipper ring.
   void append(const WalFrame& frame);
 
-  /// Appends one batch record under `lsn` in the log's operating format
-  /// (buffered). For binary logs this encodes a frame internally —
-  /// convenience for tests/tools; the service uses append(const WalFrame&).
+  /// Appends one batch record under `lsn` (buffered), encoding a frame
+  /// internally — convenience for tests/tools; the service uses
+  /// append(const WalFrame&).
   /// LSNs must be consecutive; edges are logged as given (callers pass
   /// canonical deduplicated batches).
   void append(std::uint64_t lsn, const UpdateBatch& batch);
@@ -225,11 +199,8 @@ class WriteAheadLog {
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t base_lsn() const { return base_lsn_; }
-  /// Format the open log is appending in.
-  [[nodiscard]] WalFormat format() const { return format_; }
 
  private:
-  void append_file_header();
   void write_out(const unsigned char* data, std::size_t len);
   void sync_data();
   void sync_parent_dir() const;
@@ -246,7 +217,6 @@ class WriteAheadLog {
   vertex_t num_vertices_ = 0;
   std::uint64_t base_lsn_ = 0;
   WalOptions options_;
-  WalFormat format_ = WalFormat::kBinaryV4;
   int fd_ = -1;
   std::vector<unsigned char> buf_;  ///< records awaiting the group commit
   std::uint64_t size_ = 0;  ///< logical file size (flushed + staged bytes)
@@ -278,32 +248,28 @@ struct WalScanInfo {
   std::size_t records = 0;
   std::uint64_t base_lsn = 0;
   std::uint64_t last_lsn = 0;
-  WalFormat format = WalFormat::kBinaryV4;
   /// Bytes of the committed prefix, header included. Anything past this is
-  /// a torn or corrupt tail (walcat --verify compares against file size;
-  /// v3 text logs may legitimately trail whitespace past it).
+  /// a torn or corrupt tail (walcat --verify compares against file size).
   std::uint64_t committed_bytes = 0;
 };
 
-/// Read-only scan of a WAL's committed prefix (either format), safe to run
-/// while another process/thread appends to the same file (a partially
-/// flushed tail simply ends the scan). A missing or empty file scans as
+/// Read-only scan of a WAL's committed prefix, safe to run while another
+/// process/thread appends to the same file (a partially flushed tail
+/// simply ends the scan). A missing or empty file scans as
 /// zero records. Throws std::runtime_error on a magic/vertex-count
 /// mismatch.
 WalScanInfo scan_wal(const std::string& path, vertex_t num_vertices,
                      const WalReplayFn& on_batch);
 
-/// Like scan_wal, but delivers encoded frames: for a v4 file the bytes are
-/// lifted straight off disk with no payload decode — the cluster layer's
+/// Like scan_wal, but delivers encoded frames: the bytes are lifted
+/// straight off disk with no payload decode — the cluster layer's
 /// late-joiner catch-up path, which ships the identical bytes the live
-/// stream carries. A v3 file is parsed and re-encoded per record (the one
-/// legacy seam where catch-up pays an encode).
+/// stream carries.
 WalScanInfo scan_wal_frames(const std::string& path, vertex_t num_vertices,
                             const WalFrameFn& on_frame);
 
 /// A WAL file's identity, read without scanning records (walcat, tooling).
 struct WalHeaderInfo {
-  WalFormat format = WalFormat::kBinaryV4;
   vertex_t num_vertices = 0;
   std::uint64_t base_lsn = 0;
 };

@@ -1,11 +1,6 @@
 // Binary WAL v4 frame codec — the single encoded form every consumer of a
-// committed batch shares.
-//
-// PR 5 left the durability/replication pipeline paying one text
-// serialization on the primary's group-commit path and a full re-parse in
-// every consumer (WAL replay, scan_wal catch-up, each replica's apply
-// thread). The WalFrame closes that: the apply thread encodes each
-// committed batch exactly once, and the *same bytes* then flow to
+// committed batch shares. The apply thread encodes each committed batch
+// exactly once, and the *same bytes* then flow to
 //
 //   - the primary's on-disk WAL (append is a buffered memcpy),
 //   - the LogShipper's in-memory retention ring (shared_ptr, no copy),
@@ -28,14 +23,13 @@
 // length that still lands in bounds is caught like any payload flip. A v4
 // *file* is the 24-byte header below followed by frames:
 //
-//   "cpkc-wal-v4\n"  (12 bytes, newline-terminated so `head -1` and the v3
-//                     text magic are distinguishable by the first line)
+//   "cpkc-wal-v4\n"  (12 bytes, newline-terminated so `head -1` shows it)
 //   u32 num_vertices
 //   u64 base_lsn
 //
-// Commit semantics are unchanged from v3: a frame is committed iff it parses
-// completely AND its CRC matches AND its LSN is the predecessor's + 1; the
-// first torn / corrupt / out-of-sequence frame ends the committed prefix.
+// Commit semantics: a frame is committed iff it parses completely AND its
+// CRC matches AND its LSN is the predecessor's + 1; the first torn /
+// corrupt / out-of-sequence frame ends the committed prefix.
 #pragma once
 
 #include <atomic>
@@ -48,15 +42,7 @@
 
 namespace cpkcore::service {
 
-/// On-disk / on-wire WAL format variant. One narrow knob instead of a
-/// hard-coded format so the two can be benchmarked against each other
-/// (bench/service_throughput sweeps both); kTextV3 is the legacy
-/// line-oriented format, kept readable and writable for migration and as
-/// the measured baseline.
-enum class WalFormat { kTextV3, kBinaryV4 };
-
 inline constexpr char kWalMagicV4[] = "cpkc-wal-v4";
-inline constexpr char kWalMagicV3[] = "cpkcore-wal-v3";
 
 /// Codec work done since process start (or the last reset): how many times
 /// a batch was encoded into a frame and how many times a frame's payload

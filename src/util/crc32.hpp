@@ -38,21 +38,6 @@ class Crc32 {
     state_ = c;
   }
 
-  void update_u8(std::uint8_t v) { update(&v, sizeof v); }
-  /// Integers are fed in a fixed (little-endian) byte order so checksums
-  /// are portable across hosts.
-  void update_u32(std::uint32_t v) {
-    const unsigned char b[4] = {
-        static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
-        static_cast<unsigned char>(v >> 16),
-        static_cast<unsigned char>(v >> 24)};
-    update(b, sizeof b);
-  }
-  void update_u64(std::uint64_t v) {
-    update_u32(static_cast<std::uint32_t>(v));
-    update_u32(static_cast<std::uint32_t>(v >> 32));
-  }
-
   [[nodiscard]] std::uint32_t value() const { return ~state_; }
 
  private:

@@ -1,16 +1,14 @@
-// Tests for the pluggable memory reclamation behind the wait-free read
+// Tests for the epoch-based memory reclamation behind the wait-free read
 // path: epoch advancement under concurrent retire, reader pins blocking
-// reclamation (and unblocking it on release), epoch-vs-qsbr equivalence on
-// the same CPLDS workload, and a reader/writer stress run checking the
-// view-backed reads stay bit-equal to the SyncReads quiescent levels.
+// reclamation (and unblocking it on release), and a reader/writer stress
+// run checking the view-backed reads stay bit-equal to the SyncReads
+// quiescent levels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +22,6 @@ namespace cpkcore {
 namespace {
 
 using concurrent::Reclaimer;
-using concurrent::ReclaimerKind;
 
 /// A retired payload that counts its own deletions.
 struct Tracked {
@@ -35,34 +32,24 @@ struct Tracked {
 };
 std::atomic<int> Tracked::live{0};
 
-class ReclaimTest : public ::testing::TestWithParam<ReclaimerKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Kinds, ReclaimTest,
-                         ::testing::Values(ReclaimerKind::kEpoch,
-                                           ReclaimerKind::kQsbr),
-                         [](const auto& info) {
-                           return std::string(
-                               concurrent::to_string(info.param));
-                         });
-
-TEST_P(ReclaimTest, RetireWithoutReadersFreesEverything) {
-  auto r = concurrent::make_reclaimer(GetParam());
+TEST(ReclaimTest, RetireWithoutReadersFreesEverything) {
+  Reclaimer r;
   constexpr std::uint64_t kObjects = 200;
   for (std::uint64_t i = 0; i < kObjects; ++i) {
-    r->retire(new Tracked, &Tracked::destroy);
+    r.retire(new Tracked, &Tracked::destroy);
   }
   // With no reader ever pinned, a few idle reclaim passes drain the limbo
   // list entirely (EBR needs two epoch advances past the newest tag).
-  for (int i = 0; i < 8 && r->stats().limbo > 0; ++i) r->try_reclaim();
-  const Reclaimer::Stats stats = r->stats();
+  for (int i = 0; i < 8 && r.stats().limbo > 0; ++i) r.try_reclaim();
+  const Reclaimer::Stats stats = r.stats();
   EXPECT_EQ(stats.retired, kObjects);
   EXPECT_EQ(stats.freed, kObjects);
   EXPECT_EQ(stats.limbo, 0u);
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST_P(ReclaimTest, EpochAdvancesUnderConcurrentRetire) {
-  auto r = concurrent::make_reclaimer(GetParam());
+TEST(ReclaimTest, EpochAdvancesUnderConcurrentRetire) {
+  Reclaimer r;
   constexpr std::uint64_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 500;
   std::vector<std::thread> threads;
@@ -72,15 +59,15 @@ TEST_P(ReclaimTest, EpochAdvancesUnderConcurrentRetire) {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         // Readers cycle in and out while other threads retire.
         {
-          const Reclaimer::Guard guard = r->read_guard();
+          const Reclaimer::Guard guard = r.read_guard();
         }
-        r->retire(new Tracked, &Tracked::destroy);
+        r.retire(new Tracked, &Tracked::destroy);
       }
     });
   }
   for (std::thread& th : threads) th.join();
-  for (int i = 0; i < 8 && r->stats().limbo > 0; ++i) r->try_reclaim();
-  const Reclaimer::Stats stats = r->stats();
+  for (int i = 0; i < 8 && r.stats().limbo > 0; ++i) r.try_reclaim();
+  const Reclaimer::Stats stats = r.stats();
   EXPECT_EQ(stats.retired, kThreads * kPerThread);
   EXPECT_GT(stats.epoch_advances, 0u);
   EXPECT_EQ(stats.freed, stats.retired);
@@ -88,14 +75,14 @@ TEST_P(ReclaimTest, EpochAdvancesUnderConcurrentRetire) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST_P(ReclaimTest, ReaderPinBlocksReclamation) {
-  auto r = concurrent::make_reclaimer(GetParam());
+TEST(ReclaimTest, ReaderPinBlocksReclamation) {
+  Reclaimer r;
   // The pinned reader must be a *different* thread: the retiring thread's
-  // own slot is idle (EBR) / quiesced late (QSBR) from its point of view.
+  // own slot is idle from its point of view.
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
   std::thread reader([&] {
-    const Reclaimer::Guard guard = r->read_guard();
+    const Reclaimer::Guard guard = r.read_guard();
     pinned.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -105,142 +92,90 @@ TEST_P(ReclaimTest, ReaderPinBlocksReclamation) {
 
   constexpr std::size_t kObjects = 50;
   for (std::size_t i = 0; i < kObjects; ++i) {
-    r->retire(new Tracked, &Tracked::destroy);
+    r.retire(new Tracked, &Tracked::destroy);
   }
-  r->try_reclaim();
+  r.try_reclaim();
   // Everything retired after the pin must still be in limbo.
-  EXPECT_EQ(r->stats().limbo, kObjects);
+  EXPECT_EQ(r.stats().limbo, kObjects);
   EXPECT_EQ(Tracked::live.load(), static_cast<int>(kObjects));
-  EXPECT_GT(r->stats().lagging_readers, 0u);
+  EXPECT_GT(r.stats().lagging_readers, 0u);
 
   release.store(true, std::memory_order_release);
   reader.join();
-  for (int i = 0; i < 8 && r->stats().limbo > 0; ++i) r->try_reclaim();
-  EXPECT_EQ(r->stats().limbo, 0u);
+  for (int i = 0; i < 8 && r.stats().limbo > 0; ++i) r.try_reclaim();
+  EXPECT_EQ(r.stats().limbo, 0u);
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-TEST_P(ReclaimTest, GuardIsReentrant) {
-  auto r = concurrent::make_reclaimer(GetParam());
-  const Reclaimer::Guard outer = r->read_guard();
+TEST(ReclaimTest, GuardIsReentrant) {
+  Reclaimer r;
+  const Reclaimer::Guard outer = r.read_guard();
   {
-    const Reclaimer::Guard inner = r->read_guard();
+    const Reclaimer::Guard inner = r.read_guard();
   }
   // Still pinned: a retire on another thread must not free under us.
   std::thread retirer([&r] {
-    r->retire(new Tracked, &Tracked::destroy);
-    r->try_reclaim();
+    r.retire(new Tracked, &Tracked::destroy);
+    r.try_reclaim();
   });
   retirer.join();
   EXPECT_EQ(Tracked::live.load(), 1);
-}
-
-TEST(ReclaimKind, ParseAndResolve) {
-  EXPECT_EQ(concurrent::parse_reclaimer_kind("epoch"), ReclaimerKind::kEpoch);
-  EXPECT_EQ(concurrent::parse_reclaimer_kind("ebr"), ReclaimerKind::kEpoch);
-  EXPECT_EQ(concurrent::parse_reclaimer_kind("qsbr"), ReclaimerKind::kQsbr);
-  EXPECT_EQ(concurrent::parse_reclaimer_kind("auto"), ReclaimerKind::kAuto);
-  EXPECT_THROW(static_cast<void>(concurrent::parse_reclaimer_kind("bogus")),
-               std::invalid_argument);
-  EXPECT_EQ(concurrent::to_string(ReclaimerKind::kQsbr), "qsbr");
-  // A pinned kind resolves to itself regardless of the environment.
-  EXPECT_EQ(concurrent::resolve_reclaimer_kind(ReclaimerKind::kQsbr),
-            ReclaimerKind::kQsbr);
-  EXPECT_EQ(concurrent::resolve_reclaimer_kind(ReclaimerKind::kEpoch),
-            ReclaimerKind::kEpoch);
 }
 
 // ---------------------------------------------------------------------------
 // CPLDS integration
 // ---------------------------------------------------------------------------
 
-/// Applies the same batched insertion stream under the given reclaimer and
-/// returns the final levels (quiescent).
-std::vector<level_t> levels_after_stream(ReclaimerKind kind,
-                                         vertex_t n,
-                                         const std::vector<Edge>& edges,
-                                         std::size_t batch_size) {
-  auto reclaimer = concurrent::make_reclaimer(kind);
-  CPLDS::Options opt;
-  opt.reclaimer = reclaimer.get();
-  CPLDS ds(n, LDSParams::create(n), opt);
-  for (std::size_t i = 0; i < edges.size(); i += batch_size) {
-    const std::size_t end = std::min(edges.size(), i + batch_size);
-    ds.insert_batch({edges.begin() + static_cast<std::ptrdiff_t>(i),
-                     edges.begin() + static_cast<std::ptrdiff_t>(end)});
-  }
-  std::vector<level_t> out(n);
-  for (vertex_t v = 0; v < n; ++v) out[v] = ds.read_level(v);
-  EXPECT_GT(ds.view_version(), 0u);
-  EXPECT_GT(ds.reclaimer().stats().retired, 0u);
-  return out;
-}
-
-TEST(ReclaimCplds, ReclaimerSwapEquivalence) {
-  // The reclamation scheme must be invisible to the data structure: the
-  // same update stream yields bit-identical levels under epoch and qsbr.
-  constexpr vertex_t kN = 1500;
-  const auto edges = gen::barabasi_albert(kN, 6, 77);
-  const auto epoch = levels_after_stream(ReclaimerKind::kEpoch, kN, edges, 900);
-  const auto qsbr = levels_after_stream(ReclaimerKind::kQsbr, kN, edges, 900);
-  ASSERT_EQ(epoch.size(), qsbr.size());
-  for (vertex_t v = 0; v < kN; ++v) EXPECT_EQ(epoch[v], qsbr[v]) << v;
-}
-
 TEST(ReclaimCplds, ViewReadsBitEqualToSyncReadsUnderStress) {
   // Reader/writer stress: concurrent view readers never crash or tear, and
   // once quiescent every read path agrees bit-for-bit with the locked
   // SyncReads baseline.
-  for (const ReclaimerKind kind :
-       {ReclaimerKind::kEpoch, ReclaimerKind::kQsbr}) {
-    auto reclaimer = concurrent::make_reclaimer(kind);
-    constexpr vertex_t kN = 2000;
-    CPLDS::Options opt;
-    opt.reclaimer = reclaimer.get();
-    CPLDS ds(kN, LDSParams::create(kN), opt);
-    const auto edges = gen::barabasi_albert(kN, 8, 91);
+  Reclaimer reclaimer;
+  constexpr vertex_t kN = 2000;
+  CPLDS::Options opt;
+  opt.reclaimer = &reclaimer;
+  CPLDS ds(kN, LDSParams::create(kN), opt);
+  const auto edges = gen::barabasi_albert(kN, 8, 91);
 
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> readers;
-    constexpr int kReaders = 6;
-    readers.reserve(kReaders);
-    for (int t = 0; t < kReaders; ++t) {
-      readers.emplace_back([&ds, &stop, t] {
-        Xoshiro256 rng(1000 + static_cast<std::uint64_t>(t));
-        while (!stop.load(std::memory_order_relaxed)) {
-          const auto v = static_cast<vertex_t>(rng.next_below(kN));
-          const level_t l = ds.read_level(v);
-          ASSERT_GE(l, 0);  // never torn garbage
-        }
-      });
-    }
-    constexpr std::size_t kBatch = 500;
-    for (std::size_t i = 0; i < edges.size(); i += kBatch) {
-      const std::size_t end = std::min(edges.size(), i + kBatch);
-      ds.insert_batch({edges.begin() + static_cast<std::ptrdiff_t>(i),
-                       edges.begin() + static_cast<std::ptrdiff_t>(end)});
-    }
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread& th : readers) th.join();
-
-    for (vertex_t v = 0; v < kN; ++v) {
-      const level_t sync_level = ds.read_level_sync(v);
-      ASSERT_EQ(ds.read_level(v), sync_level)
-          << "view read diverged from SyncReads at v=" << v << " under "
-          << concurrent::to_string(kind);
-      ASSERT_EQ(ds.read_level_nonsync(v), sync_level) << v;
-    }
-    const Reclaimer::Stats stats = ds.reclaimer().stats();
-    EXPECT_GT(stats.retired, 0u);
-    EXPECT_GT(stats.freed, 0u);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  constexpr int kReaders = 6;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&ds, &stop, t] {
+      Xoshiro256 rng(1000 + static_cast<std::uint64_t>(t));
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto v = static_cast<vertex_t>(rng.next_below(kN));
+        const level_t l = ds.read_level(v);
+        ASSERT_GE(l, 0);  // never torn garbage
+      }
+    });
   }
+  constexpr std::size_t kBatch = 500;
+  for (std::size_t i = 0; i < edges.size(); i += kBatch) {
+    const std::size_t end = std::min(edges.size(), i + kBatch);
+    ds.insert_batch({edges.begin() + static_cast<std::ptrdiff_t>(i),
+                     edges.begin() + static_cast<std::ptrdiff_t>(end)});
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& th : readers) th.join();
+
+  for (vertex_t v = 0; v < kN; ++v) {
+    const level_t sync_level = ds.read_level_sync(v);
+    ASSERT_EQ(ds.read_level(v), sync_level)
+        << "view read diverged from SyncReads at v=" << v;
+    ASSERT_EQ(ds.read_level_nonsync(v), sync_level) << v;
+  }
+  const Reclaimer::Stats stats = ds.reclaimer().stats();
+  EXPECT_GT(stats.retired, 0u);
+  EXPECT_GT(stats.freed, 0u);
 }
 
 TEST(ReclaimCplds, ViewVersionCountsMovingBatches) {
   constexpr vertex_t kN = 64;
-  auto reclaimer = concurrent::make_reclaimer(ReclaimerKind::kEpoch);
+  Reclaimer reclaimer;
   CPLDS::Options opt;
-  opt.reclaimer = reclaimer.get();
+  opt.reclaimer = &reclaimer;
   CPLDS ds(kN, LDSParams::create(kN), opt);
   EXPECT_EQ(ds.view_version(), 0u);
   // A dense clique forces level moves; version advances.

@@ -29,8 +29,6 @@ using service::KCoreService;
 using service::ServiceConfig;
 using service::Ticket;
 using service::WalDurability;
-using service::WalFormat;
-using service::WalOptions;
 using service::WriteAheadLog;
 
 /// Unique temp path per test *and* per process (two build trees' suites
@@ -254,120 +252,69 @@ TEST(Service, CrashDropsPendingUnackedOps) {
   svc.shutdown();
 }
 
-TEST(Service, WalDiscardsUncommittedTail) {
-  // Kill *before* group commit: hand-craft a log whose last batch lacks its
-  // commit marker; replay must keep the committed prefix only, and the log
-  // must stay appendable afterwards.
-  TempPath wal("tail.wal");
-  {
-    const UpdateBatch committed{UpdateKind::kInsert, {{1, 2}, {2, 3}}};
-    std::ofstream out(wal.str());
-    out << "cpkcore-wal-v3\n100 0\n";
-    out << "B I 2 1\n1 2\n2 3\nC 2 1 "
-        << service::wal_record_crc(1, committed) << "\n";
-    out << "B I 3 2\n3 4\n4 5\n";  // crash: no commit marker
-  }
-  std::vector<UpdateBatch> replayed;
-  std::vector<std::uint64_t> lsns;
-  WriteAheadLog log;
-  const auto info = log.open(wal.str(), 100,
-                             [&](std::uint64_t lsn, const UpdateBatch& b) {
-                               lsns.push_back(lsn);
-                               replayed.push_back(b);
-                             });
-  EXPECT_EQ(info.replayed, 1u);
-  EXPECT_EQ(info.last_lsn, 1u);
-  // Opened under the default (binary) format, the v3 prefix was migrated.
-  EXPECT_TRUE(info.migrated);
-  EXPECT_EQ(info.format, WalFormat::kBinaryV4);
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(replayed[0].edges,
-            (std::vector<Edge>{{1, 2}, {2, 3}}));
-
-  // Append a committed batch past the truncation point and re-open.
-  log.append(2, UpdateBatch{UpdateKind::kDelete, {{1, 2}}});
-  log.flush();
-  log.close();
-  replayed.clear();
-  lsns.clear();
-  WriteAheadLog reopened;
-  EXPECT_EQ(reopened
-                .open(wal.str(), 100,
-                      [&](std::uint64_t lsn, const UpdateBatch& b) {
-                        lsns.push_back(lsn);
-                        replayed.push_back(b);
-                      })
-                .replayed,
-            2u);
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_EQ(replayed[1].kind, UpdateKind::kDelete);
-  EXPECT_EQ(replayed[1].edges, (std::vector<Edge>{{1, 2}}));
+/// Writes `bytes` to `path` verbatim.
+void write_file(const std::string& path,
+                const std::vector<unsigned char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(Service, WalChecksumTruncatesCorruptTail) {
-  // Bit rot / torn write in a *v3 text* log's last record: the payload
-  // still parses (valid numbers, marker present), but the recomputed CRC no
-  // longer matches the stored one — the record must be dropped exactly like
-  // an uncommitted tail. The default-format reopen then migrates the
-  // surviving prefix to v4, so this also covers migration of a log whose
-  // tail rotted.
-  TempPath wal("crc.wal");
-  WalOptions text;
-  text.durability = WalDurability::kOsCache;
-  text.format = WalFormat::kTextV3;
-  {
-    WriteAheadLog log;
-    log.open(wal.str(), 100, nullptr, text);
-    log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}, {2, 3}}});
-    log.append(2, UpdateBatch{UpdateKind::kInsert, {{3, 4}}});
-    log.flush();
-    log.close();
+std::vector<unsigned char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Runs `fn` and returns the std::runtime_error message it throws ("" if
+/// it throws nothing).
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
   }
-  {
-    // Corrupt record 2's edge payload ("3 4" occurs only there).
-    std::ifstream in(wal.str());
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    const std::size_t at = contents.find("3 4\n");
-    ASSERT_NE(at, std::string::npos);
-    contents[at + 2] = '5';
-    std::ofstream out(wal.str(), std::ios::trunc);
-    out << contents;
-  }
-  // Both readers agree: the committed prefix ends before the rotted record.
-  const auto scanned = service::scan_wal(wal.str(), 100, nullptr);
-  EXPECT_EQ(scanned.records, 1u);
-  EXPECT_EQ(scanned.last_lsn, 1u);
-  EXPECT_EQ(scanned.format, WalFormat::kTextV3);
-  std::size_t replayed_count = 0;
-  WriteAheadLog log;
-  const auto info = log.open(
-      wal.str(), 100,
-      [&](std::uint64_t, const UpdateBatch&) { ++replayed_count; });
-  EXPECT_EQ(info.replayed, 1u);
-  EXPECT_EQ(info.last_lsn, 1u);
-  EXPECT_EQ(replayed_count, 1u);
-  EXPECT_TRUE(info.migrated);
-  EXPECT_EQ(info.format, WalFormat::kBinaryV4);
-  // The corrupt tail did not survive migration: LSN 2 is free again and the
-  // (now binary) log keeps working.
-  log.append(2, UpdateBatch{UpdateKind::kDelete, {{1, 2}}});
-  log.flush();
-  log.close();
-  WriteAheadLog reopened;
-  EXPECT_EQ(reopened.open(wal.str(), 100, nullptr).replayed, 2u);
+  return "";
 }
 
 TEST(Service, WalRejectsMismatchedVertexCount) {
+  // A well-formed v4 header for 100 vertices, opened as a 200-vertex log:
+  // the vertex-count check (not the magic check) must reject it.
   TempPath wal("mismatch.wal");
-  {
-    std::ofstream out(wal.str());
-    out << "cpkcore-wal-v3\n100 0\n";
-  }
+  std::vector<unsigned char> header;
+  service::append_wal_header_v4(header, 100, 0);
+  write_file(wal.str(), header);
   WriteAheadLog log;
-  EXPECT_THROW(log.open(wal.str(), 200, nullptr), std::runtime_error);
+  EXPECT_NE(runtime_error_of([&] { log.open(wal.str(), 200, nullptr); })
+                .find("vertex count mismatch"),
+            std::string::npos);
+  EXPECT_NE(runtime_error_of([&] {
+              (void)service::scan_wal(wal.str(), 200, nullptr);
+            }).find("vertex count mismatch"),
+            std::string::npos);
+  // The matching count opens the same file cleanly.
+  EXPECT_EQ(log.open(wal.str(), 100, nullptr).replayed, 0u);
+}
+
+TEST(Service, WalRejectsV3TextMagicAndLeavesFileUntouched) {
+  // A log in the old line-oriented v3 format is not a v4 log: open and
+  // scan must refuse it with the bad-header error, and neither may
+  // rewrite or truncate the file.
+  TempPath wal("v3.wal");
+  const std::string v3 =
+      "cpkcore-wal-v3\n100 0\nB I 2 1\n1 2\n2 3\nC 2 1 0\n";
+  write_file(wal.str(), {v3.begin(), v3.end()});
+  const std::vector<unsigned char> before = read_file(wal.str());
+  WriteAheadLog log;
+  EXPECT_NE(runtime_error_of([&] { log.open(wal.str(), 100, nullptr); })
+                .find("bad WAL header"),
+            std::string::npos);
+  EXPECT_NE(runtime_error_of([&] {
+              (void)service::scan_wal(wal.str(), 100, nullptr);
+            }).find("bad WAL header"),
+            std::string::npos);
+  EXPECT_EQ(read_file(wal.str()), before);
 }
 
 TEST(Service, WalTreatsEmptyFileAsFresh) {
@@ -398,7 +345,6 @@ TEST(Service, WalTreatsEmptyFileAsFresh) {
 std::uintmax_t write_two_record_binary_log(const std::string& path) {
   WriteAheadLog log;
   log.open(path, 100, nullptr);
-  EXPECT_EQ(log.format(), WalFormat::kBinaryV4);
   log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}, {2, 3}}});
   log.flush();
   const std::uintmax_t boundary = std::filesystem::file_size(path);
@@ -408,9 +354,9 @@ std::uintmax_t write_two_record_binary_log(const std::string& path) {
   return boundary;
 }
 
-/// The v3 truncate-and-resume contract, asserted against a damaged binary
-/// log: both readers agree the committed prefix is record 1 only, the open
-/// truncates the damage away, LSN 2 is reusable, and the log keeps working.
+/// The truncate-and-resume contract, asserted against a damaged log: both
+/// readers agree the committed prefix is record 1 only, the open truncates
+/// the damage away, LSN 2 is reusable, and the log keeps working.
 void expect_truncates_to_first_record(const std::string& path) {
   const auto scanned = service::scan_wal(path, 100, nullptr);
   EXPECT_EQ(scanned.records, 1u);
@@ -467,46 +413,6 @@ TEST(Service, WalBinaryBitFlipTruncatesCorruptTail) {
     f.put(static_cast<char>(byte ^ 0x20));
   }
   expect_truncates_to_first_record(wal.str());
-}
-
-TEST(Service, V3ServiceMigratesToV4WithIdenticalCoreness) {
-  // Warm-restart an "old deployment" (a service that wrote the v3 text
-  // format) into the v4 world: the first restart replays the text log and
-  // atomically rewrites it as v4; coreness must be identical before the
-  // crash, after the migrating restart, and after a second restart that
-  // replays the migrated binary log.
-  TempPath wal("migrate.wal");
-  constexpr vertex_t kN = 300;
-  const auto edges = gen::barabasi_albert(kN, 4, 23);
-  std::vector<double> before(kN);
-  {
-    ServiceConfig cfg;
-    cfg.num_vertices = kN;
-    cfg.wal_path = wal.str();
-    cfg.wal_format = WalFormat::kTextV3;
-    KCoreService svc(cfg);
-    for (const Edge& e : edges) svc.submit_insert(e.u, e.v);
-    svc.drain();
-    for (vertex_t v = 0; v < kN; ++v) before[v] = svc.read_coreness(v);
-    svc.simulate_crash();
-  }
-  ASSERT_EQ(service::read_wal_header(wal.str()).format, WalFormat::kTextV3);
-  for (int restart = 0; restart < 2; ++restart) {
-    ServiceConfig cfg;
-    cfg.num_vertices = kN;
-    cfg.wal_path = wal.str();
-    KCoreService svc(cfg);
-    EXPECT_GT(svc.stats().replayed_batches, 0u);
-    for (vertex_t v = 0; v < kN; ++v) {
-      ASSERT_EQ(svc.read_coreness(v), before[v]) << "vertex " << v;
-    }
-    std::string why;
-    EXPECT_TRUE(svc.cplds().plds().validate(&why)) << why;
-    svc.simulate_crash();
-    // The text log became binary on the first restart and stays binary.
-    EXPECT_EQ(service::read_wal_header(wal.str()).format,
-              WalFormat::kBinaryV4);
-  }
 }
 
 TEST(Service, TinyBudgetManyShardsDrainsFairly) {
