@@ -73,8 +73,8 @@ inline harness::ExperimentSpec standard_spec(const std::string& dataset,
   spec.workload.seed = 7;
   spec.levels_per_group_cap = opt_cap();
   // Descriptor/DAG maintenance is needed only by the Algorithm 4 read
-  // path; the wait-free view read (kCplds/kNonSync) and the baselines run
-  // the original PLDS update path.
+  // path; the wait-free view read (kCplds) and the baselines run the
+  // original PLDS update path.
   spec.cplds_options.track_dependencies = (mode == ReadMode::kCpldsDag);
   return spec;
 }

@@ -91,7 +91,17 @@ void Replica::apply_loop() {
       std::unique_lock lock(mu_);
       // Parked on an empty queue is healthy: idle stops the age clock.
       if (heartbeat_ != nullptr && queue_.empty()) heartbeat_->idle();
-      queue_cv_.wait(lock, [&] { return stop_requested_ || !queue_.empty(); });
+      const auto has_work = [&] { return stop_requested_ || !queue_.empty(); };
+      // Idle for a scan interval: free the views the last records retired
+      // rather than hold them until the next one.
+      if (!queue_cv_.wait_for(lock, concurrent::Reclaimer::kScanInterval,
+                              has_work) &&
+          reclaimer_.stats().limbo > 0) {
+        lock.unlock();
+        reclaimer_.try_reclaim();
+        lock.lock();
+      }
+      queue_cv_.wait(lock, has_work);
       if (queue_.empty()) return;  // stop requested and fully drained
       rec = std::move(queue_.front());
       queue_.pop_front();

@@ -31,9 +31,10 @@
 //
 // Thread-safety: the router is fully thread-safe. A Session may be shared
 // by the threads of one logical client; its cursors only advance. Each
-// part-read lands on a backend's wait-free view read (ReadMode::kCplds /
-// kNonSync), so fan-out cost is per-partition pointer chases, not lock
-// acquisitions — SyncReads still blocks per partition by design.
+// part-read lands on a backend's wait-free read (ReadMode::kCplds's view,
+// or kNonSync's live level), so fan-out cost is per-partition pointer
+// chases, not lock acquisitions — SyncReads still blocks per partition by
+// design.
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,19 @@
 #include "concurrent/reclaim.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 
+#if defined(__linux__)
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "obs/event_log.hpp"
+#include "util/timer.hpp"
 
 namespace cpkcore::concurrent {
 
@@ -13,9 +22,11 @@ using detail::ReclaimSlot;
 namespace {
 
 constexpr std::uint64_t kIdle = ReclaimSlot::kIdle;
+constexpr auto kIntervalNs = static_cast<std::uint64_t>(
+    std::chrono::nanoseconds(Reclaimer::kScanInterval).count());
 
-/// Limbo depth at which a blocked reclamation attempt becomes a journal
-/// event (the EventLog rate-limits repeats per (component, name)).
+/// Limbo depth at which reclamation blocked for a scan interval becomes a
+/// journal event (the EventLog rate-limits repeats per (component, name)).
 constexpr std::size_t kStallEventLimbo = 64;
 
 /// Registry of live reclaimers' slot arrays, keyed by a never-reused id.
@@ -35,6 +46,26 @@ std::unordered_map<std::uint64_t, ReclaimSlot*>& live_reclaimers() {
 
 std::atomic<std::uint64_t> next_id{1};
 
+#if defined(__linux__) && defined(__NR_membarrier)
+long membarrier(int cmd) { return syscall(__NR_membarrier, cmd, 0, 0); }
+
+bool register_membarrier() {
+  const long cmds = membarrier(MEMBARRIER_CMD_QUERY);
+  if (cmds < 0 || (cmds & MEMBARRIER_CMD_PRIVATE_EXPEDITED) == 0) {
+    return false;
+  }
+  return membarrier(MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED) == 0;
+}
+
+/// A full memory barrier on every running thread of this process.
+bool heavy_fence() {
+  return membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) == 0;
+}
+#else
+bool register_membarrier() { return false; }
+bool heavy_fence() { return false; }
+#endif
+
 struct SlotCache {
   struct Entry {
     std::uint64_t reclaimer_id = 0;
@@ -50,6 +81,11 @@ SlotCache::~SlotCache() {
   std::lock_guard lock(registry_mu());
   auto& live = live_reclaimers();
   for (const Entry& e : entries) {
+    // A released slot may be claimed by another thread at once: drop the
+    // fast-path pointer to it first.
+    detail::SlotCacheEntry& c =
+        detail::t_slot_cache[e.reclaimer_id % detail::kSlotCacheWays];
+    if (c.reclaimer_id == e.reclaimer_id) c = {};
     auto it = live.find(e.reclaimer_id);
     if (it == live.end()) continue;
     ReclaimSlot& s = it->second[e.slot];
@@ -63,17 +99,29 @@ SlotCache::~SlotCache() {
 
 }  // namespace
 
-// pin announces the global epoch into the thread's slot with a seq_cst
-// store before the reader's first data load; the view un-publish is a
-// seq_cst store too, so any reader that obtained a since-retired pointer is
-// visible as pinned to every later slot scan (the classic store/load
-// ordering). retire tags the object with the epoch *at retire time* — at or
-// after the un-publish — so a reader that could hold it is pinned at that
-// epoch or earlier. The epoch advances only when no slot is pinned behind
-// it; after two advances past an object's tag no such reader can still be
-// pinned, and the object is freed.
+// pin announces the global epoch into the thread's slot before the reader's
+// first data load. The view un-publish is a seq_cst store, and every slot
+// scan is preceded by a heavy fence (membarrier) on the relaxed-announce
+// path, so any reader that obtained a since-retired pointer is visible as
+// pinned to every later slot scan (the classic store/load ordering; on the
+// fallback path the reader's seq_cst store provides it). retire tags the
+// object with the epoch *at retire time* — at or after the un-publish — so
+// a reader that could hold it is pinned at that epoch or earlier (it read
+// the global epoch before its view load, and any later epoch was stored
+// after the retire). So once a scan finds no pinned slot at or before an
+// object's tag, the object is freed. The epoch advances only when no slot
+// is pinned behind it, so readers that pin later announce newer epochs
+// than what is already in limbo.
 
 Reclaimer::Reclaimer() : id_(next_id.fetch_add(1, std::memory_order_relaxed)) {
+  // Once per process, before any reclaimer exists (so no reader is pinned
+  // yet): a reader can only see the relaxed path once every scan fences.
+  static const bool relaxed = [] {
+    const bool ok = !detail::kTsanBuild && register_membarrier();
+    detail::relaxed_announce.store(ok, std::memory_order_relaxed);
+    return ok;
+  }();
+  (void)relaxed;
   std::lock_guard lock(registry_mu());
   live_reclaimers().emplace(id_, slots_);
 }
@@ -87,11 +135,17 @@ Reclaimer::~Reclaimer() {
   for (const RetiredObject& r : limbo_) r.deleter(r.ptr);
 }
 
-ReclaimSlot& Reclaimer::my_slot() {
+ReclaimSlot* Reclaimer::slot_slow() {
+  ReclaimSlot* s = nullptr;
   for (const SlotCache::Entry& e : t_slots.entries) {
-    if (e.reclaimer_id == id_) return slots_[e.slot];
+    if (e.reclaimer_id == id_) {
+      s = &slots_[e.slot];
+      break;
+    }
   }
-  return claim_slot();
+  if (s == nullptr) s = &claim_slot();
+  detail::t_slot_cache[id_ % detail::kSlotCacheWays] = {id_, s};
+  return s;
 }
 
 ReclaimSlot& Reclaimer::claim_slot() {
@@ -110,30 +164,11 @@ ReclaimSlot& Reclaimer::claim_slot() {
       "Reclaimer: out of thread slots (> 256 concurrent reader threads)");
 }
 
-void Reclaimer::pin() {
-  ReclaimSlot& s = my_slot();
-  if (s.nesting++ == 0) {
-    // Announce-then-read: the seq_cst store orders the announcement
-    // before the reader's first shared load, pairing with the seq_cst
-    // view un-publish on the writer (no standalone fences — TSan models
-    // atomic operations, not fences).
-    s.epoch.store(global_.load(std::memory_order_seq_cst),
-                  std::memory_order_seq_cst);
-  }
-}
-
-void Reclaimer::unpin() {
-  ReclaimSlot& s = my_slot();
-  if (--s.nesting == 0) {
-    s.epoch.store(kIdle, std::memory_order_release);
-  }
-}
-
 void Reclaimer::retire(void* p, Deleter deleter) {
   std::lock_guard lock(limbo_mu_);
   limbo_.push_back({p, deleter, global_.load(std::memory_order_relaxed)});
   retired_.fetch_add(1, std::memory_order_relaxed);
-  reclaim_locked();
+  if (now_ns() - last_scan_ns_ >= kIntervalNs) reclaim_locked();
 }
 
 std::size_t Reclaimer::try_reclaim() {
@@ -147,6 +182,7 @@ Reclaimer::Stats Reclaimer::stats() const {
   s.retired = retired_.load(std::memory_order_relaxed);
   s.freed = freed_.load(std::memory_order_relaxed);
   s.lagging_readers = lagging_.load(std::memory_order_relaxed);
+  s.fences = fences_.load(std::memory_order_relaxed);
   std::lock_guard lock(limbo_mu_);
   s.limbo = limbo_.size();
   return s;
@@ -154,23 +190,37 @@ Reclaimer::Stats Reclaimer::stats() const {
 
 // Deleters run inline (they must not call back into the reclaimer).
 std::size_t Reclaimer::reclaim_locked() {
-  const std::uint64_t e = global_.load(std::memory_order_relaxed);
-  bool quiet = true;
+  last_scan_ns_ = now_ns();
+  // The oldest epoch a pinned reader announced: everything tagged before it
+  // is unreachable. No reader pinned frees the whole limbo; 0 frees nothing.
+  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+  // Relaxed-announce path: make every reader's announce visible before the
+  // scan. A failed fence (never seen after a successful registration)
+  // frees nothing rather than risk a missed reader.
+  if (announce_is_relaxed()) {
+    fences_.fetch_add(1, std::memory_order_relaxed);
+    if (!heavy_fence()) oldest = kIdle;
+  }
   for (const ReclaimSlot& s : slots_) {
+    if (oldest == kIdle) break;
     // Skipped (unclaimed) slots synchronize via the acquire load.
     if (!s.claimed.load(std::memory_order_acquire)) continue;
     const std::uint64_t w = s.epoch.load(std::memory_order_seq_cst);
-    if (w != kIdle && w < e) {  // pinned behind e blocks the advance
-      quiet = false;
-      break;
-    }
+    if (w != kIdle) oldest = std::min(oldest, w);
   }
-  if (quiet) {
+  const std::uint64_t e = global_.load(std::memory_order_relaxed);
+  if (oldest >= e) {  // no reader pinned behind e
     global_.store(e + 1, std::memory_order_seq_cst);
     advances_.fetch_add(1, std::memory_order_relaxed);
+    blocked_since_ns_ = 0;
   } else {
     lagging_.fetch_add(1, std::memory_order_relaxed);
-    if (limbo_.size() >= kStallEventLimbo) {
+    // A stall is the epoch held back for a whole scan interval, not an
+    // ordinary short pin that a scan happened to meet.
+    const std::uint64_t now = now_ns();
+    if (blocked_since_ns_ == 0) blocked_since_ns_ = now;
+    if (now - blocked_since_ns_ >= kIntervalNs &&
+        limbo_.size() >= kStallEventLimbo) {
       obs::EventLog::instance().emit(
           obs::Severity::kWarn, "reclaim", "reclaimer_stall",
           {{"algo", std::string(name())},
@@ -178,11 +228,10 @@ std::size_t Reclaimer::reclaim_locked() {
            {"epoch", std::to_string(e)}});
     }
   }
-  const std::uint64_t g = global_.load(std::memory_order_relaxed);
   std::size_t freed = 0;
   std::size_t kept = 0;
   for (RetiredObject& r : limbo_) {
-    if (r.epoch + 2 <= g) {
+    if (r.epoch < oldest) {
       r.deleter(r.ptr);
       ++freed;
     } else {

@@ -172,9 +172,10 @@ void CPLDS::finish_batch(std::size_t applied_edges) {
     const LevelView* old_view = view_.load(std::memory_order_relaxed);
     const LevelView* next_view = LevelView::successor(
         *old_view, moved, [this](vertex_t v) { return plds_.level(v); });
-    // seq_cst swap: pairs with the readers' seq_cst epoch announce so a
-    // reader that obtained old_view is visible as pinned to every
-    // subsequent reclaimer scan.
+    // seq_cst swap: ordered before the reclaimer's next scan (by its
+    // membarrier, or by pairing with the readers' seq_cst announce on the
+    // fallback), so a reader that obtained old_view is visible as pinned
+    // to every subsequent scan.
     view_.store(next_view, std::memory_order_seq_cst);
     reclaimer_->retire(const_cast<LevelView*>(old_view),
                        &LevelView::destroy_erased);
@@ -218,9 +219,14 @@ CPLDS::DagStatus CPLDS::check_dag(vertex_t v,
 
 level_t CPLDS::read_level(vertex_t v) const {
   // Wait-free: pin the reclamation guard, load the published view, index.
-  // The seq_cst load pairs with the seq_cst swap in finish_batch and the
-  // guard's seq_cst epoch announce (Dekker: a reader that still holds a
-  // retired view is visible as pinned to every later reclaimer scan).
+  // The guard announces its epoch with a relaxed store, and the reclaimer
+  // issues a process-wide membarrier before each slot scan (at most one
+  // scan per 10 ms from retire). That fence stands in for the reader's:
+  // either this announce is visible to the scan, or this view load comes
+  // after the seq_cst swap in finish_batch and cannot return the retired
+  // view. TSan builds and processes without membarrier announce with a
+  // seq_cst store instead, pairing with the swap (Dekker). The seq_cst
+  // load costs a plain load on x86 and serves both paths.
   const concurrent::Reclaimer::Guard guard = reclaimer_->read_guard();
   return view_.load(std::memory_order_seq_cst)->level(v);
 }

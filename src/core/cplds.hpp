@@ -14,15 +14,18 @@
 // read_coreness_dag/read_level_dag (lock-free with retries; the ablation
 // benches exercise its §5.2/§5.3 optimizations). Retired views are freed
 // by epoch-based reclamation: a concurrent::Reclaimer instance, chosen per
-// structure through Options::reclaimer.
+// structure through Options::reclaimer. The paper's NonSync baseline,
+// read_coreness_nonsync/read_level_nonsync, is one atomic load of the live
+// PLDS level: no guard, no view, and no linearizability (it can observe a
+// vertex mid-cascade) — the reference point for the paper's read overhead.
 //
 // Threading contract:
 //  * Updates: one driver thread calls insert_batch/delete_batch/apply; the
 //    batch executes in parallel on the global scheduler.
 //  * Reads: any number of reader threads may call read_coreness /
 //    read_level (wait-free view read), read_coreness_dag (Algorithm 4),
-//    read_coreness_nonsync (alias of the view read since the lock-free
-//    read path landed — possibly stale, never torn), or read_coreness_sync
+//    read_coreness_nonsync (the unsynchronized live level — may be an
+//    intermediate level of an in-flight batch), or read_coreness_sync
 //    (the SyncReads baseline — waits for batch quiescence under a mutex)
 //    at any time.
 #pragma once
@@ -128,15 +131,15 @@ class CPLDS {
   [[nodiscard]] double read_coreness_dag(vertex_t v) const;
   [[nodiscard]] level_t read_level_dag(vertex_t v) const;
 
-  /// NonSync baseline. Historically the raw live level (racy against
-  /// in-flight level stores); now routed through the published view, so
-  /// "non-linearizable" means *possibly stale by one in-flight batch*,
-  /// never torn or intermediate — operationally an alias of read_coreness.
+  /// NonSync baseline (the paper's unsynchronized read): one atomic load
+  /// of the live PLDS level, racing the batch's level moves. Not
+  /// linearizable — it can return a level a cascade passes through — but
+  /// never a torn value. Exact at quiescence.
   [[nodiscard]] double read_coreness_nonsync(vertex_t v) const {
-    return read_coreness(v);
+    return params().coreness_estimate(read_level_nonsync(v));
   }
   [[nodiscard]] level_t read_level_nonsync(vertex_t v) const {
-    return read_level(v);
+    return plds_.level(v);
   }
 
   /// SyncReads baseline: blocks until no batch is active, then reads the

@@ -13,7 +13,7 @@ enum class ReadMode {
   kCplds,     ///< this paper: wait-free linearizable reads (published view)
   kCpldsDag,  ///< Algorithm 4 descriptor/DAG double-collect (ablations)
   kSyncReads, ///< baseline: reads wait for the current batch to finish
-  kNonSync,   ///< baseline: view-backed, possibly stale, never torn
+  kNonSync,   ///< baseline: unsynchronized live level (not linearizable)
 };
 
 [[nodiscard]] std::string_view to_string(ReadMode mode);

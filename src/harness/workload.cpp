@@ -75,9 +75,7 @@ WorkloadResult run_workload(CPLDS& ds,
         std::uint64_t window_before = 0;
         if (sampling) window_before = ds.batch_number();
         const std::uint64_t t0 = now_ns();
-        const level_t level = cfg.raw_live_reads
-                                  ? ds.plds().level(v)
-                                  : read_level_with_mode(ds, v, cfg.mode);
+        const level_t level = read_level_with_mode(ds, v, cfg.mode);
         const std::uint64_t t1 = now_ns();
         hist.record(t1 - t0);
         if (sampling) {

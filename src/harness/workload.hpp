@@ -34,12 +34,6 @@ struct WorkloadConfig {
   /// Additionally compute exact coreness at every boundary (maintains a
   /// mirror graph; intended for small accuracy runs).
   bool record_boundary_exact = false;
-
-  /// Test-only negative control: bypass the read modes and sample the raw
-  /// live PLDS level array (the historical torn NonSync behavior). Keeps
-  /// the linearizability checker falsifiable now that every ReadMode is
-  /// tear-free.
-  bool raw_live_reads = false;
 };
 
 struct ReadSample {

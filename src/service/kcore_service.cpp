@@ -174,6 +174,7 @@ KCoreService::KCoreService(ServiceConfig config)
       sink.counter("reclaim.freed", static_cast<double>(rs.freed));
       sink.counter("reclaim.lagging_readers",
                    static_cast<double>(rs.lagging_readers));
+      sink.counter("reclaim.fences", static_cast<double>(rs.fences));
       sink.gauge("reclaim.limbo", static_cast<double>(rs.limbo));
     });
   }
@@ -333,11 +334,21 @@ void KCoreService::apply_loop() {
       // Parked is healthy: an idle mark stops the heartbeat age from
       // counting while the queue is empty (or a pause holds the thread).
       if (apply_heartbeat_ != nullptr) apply_heartbeat_->idle();
-      ingest_cv_.wait(lock, [&] {
+      const auto has_work = [&] {
         return stop_requested_ ||
                (!paused_.load(std::memory_order_relaxed) &&
                 pending_ops_.load(std::memory_order_seq_cst) > 0);
-      });
+      };
+      // Idle for a scan interval: free the views the last batches retired
+      // rather than hold them until the next write.
+      if (!ingest_cv_.wait_for(lock, concurrent::Reclaimer::kScanInterval,
+                               has_work) &&
+          reclaimer_.stats().limbo > 0) {
+        lock.unlock();
+        reclaimer_.try_reclaim();
+        lock.lock();
+      }
+      ingest_cv_.wait(lock, has_work);
       apply_sleeping_.store(false, std::memory_order_seq_cst);
       if (apply_heartbeat_ != nullptr) apply_heartbeat_->busy();
       if (crash_requested_) break;

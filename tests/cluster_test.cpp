@@ -1,4 +1,5 @@
-// Cluster-layer tests: WAL log shipping, exact read replicas, late-joiner
+// Cluster-layer tests: WAL log shipping, exact read replicas, idle apply
+// threads freeing retired views, late-joiner
 // catch-up (ring and on-disk paths), the sharded write plane (Partitioner,
 // ShardGroup, per-partition replica bit-equivalence), the shard-aware
 // router's cross-partition read-your-writes guarantee under concurrent
@@ -140,6 +141,40 @@ TEST(Cluster, ReplicasMirrorPrimaryExactly) {
   EXPECT_GT(a.stats().applied_batches, 0u);
   a.stop();
   b.stop();
+  primary.shutdown();
+}
+
+TEST(Cluster, IdleApplyThreadsFreeRetiredViews) {
+  // Once the writes stop, the primary's and the replica's apply threads go
+  // idle for a scan interval and free the views their last batches
+  // retired, instead of holding them until the next write.
+  constexpr vertex_t kN = 800;
+  ServiceConfig cfg;
+  cfg.num_vertices = kN;
+  KCoreService primary(cfg);
+  LogShipper shipper(primary);
+  Replica replica(cfg);
+  replica.start(shipper);
+  for (const Edge& e : gen::barabasi_albert(kN, 5, 17)) {
+    primary.submit_insert(e.u, e.v);
+  }
+  primary.drain();
+  ASSERT_TRUE(replica.wait_for_lsn(primary.commit_lsn()));
+
+  const auto limbo = [](const CPLDS& ds) {
+    return ds.reclaimer().stats().limbo;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((limbo(primary.cplds()) > 0 || limbo(replica.cplds()) > 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(limbo(primary.cplds()), 0u);
+  EXPECT_EQ(limbo(replica.cplds()), 0u);
+  EXPECT_GT(primary.cplds().reclaimer().stats().freed, 0u);
+  EXPECT_GT(replica.cplds().reclaimer().stats().freed, 0u);
+  replica.stop();
   primary.shutdown();
 }
 

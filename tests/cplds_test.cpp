@@ -223,28 +223,11 @@ TEST(CpldsConcurrent, SyncReadsAlsoLinearizable) {
   EXPECT_EQ(violations, 0u);
 }
 
-TEST(CpldsConcurrent, NonSyncIsStaleButNeverTorn) {
-  // Since the wait-free read path landed, NonSync routes through the
-  // published view: a read may lag by the in-flight batch but never
-  // observes an intermediate level.
-  constexpr vertex_t kN = 3000;
-  CPLDS ds(kN, small_params(kN));
-  auto edges = gen::barabasi_albert(kN, 16, 100);
-  auto stream = insertion_stream(edges, 4000, 31);
-  auto result = churn_with_readers(ds, stream, ReadMode::kNonSync, 8);
-  ASSERT_GT(result.samples.size(), 0u);
-  const auto violations = harness::count_out_of_window_samples(
-      result.samples, result.boundary_levels, result.window_base);
-  EXPECT_EQ(violations, 0u)
-      << "out of " << result.samples.size() << " sampled reads";
-}
-
-TEST(CpldsConcurrent, RawLiveReadsObserveIntermediateLevelsOnCascades) {
-  // Sanity check that the checker can fail: a long chain of dependent moves
-  // makes intermediate levels visible to a reader sampling the raw live
-  // level array (the historical torn NonSync behavior, reachable only via
-  // the harness's raw_live_reads negative control now that every ReadMode
-  // is tear-free). Inherently probabilistic, so retry a few times.
+TEST(CpldsConcurrent, NonSyncObservesIntermediateLevelsOnCascades) {
+  // The checker's negative control: the paper's NonSync baseline reads the
+  // live level array, so a long chain of dependent moves makes
+  // intermediate levels visible to it. Inherently probabilistic, so retry
+  // a few times.
   constexpr vertex_t kN = 3000;
   std::size_t violations = 0;
   for (int attempt = 0; attempt < 5 && violations == 0; ++attempt) {
@@ -252,17 +235,17 @@ TEST(CpldsConcurrent, RawLiveReadsObserveIntermediateLevelsOnCascades) {
     auto edges = gen::barabasi_albert(kN, 16, 100 + attempt);
     auto stream = insertion_stream(edges, 4000, 31 + attempt);
     harness::WorkloadConfig cfg;
+    cfg.mode = ReadMode::kNonSync;
     cfg.reader_threads = 8;
     cfg.seed = 12345 + static_cast<std::uint64_t>(attempt);
     cfg.sample_stride = 1;
     cfg.record_boundary_levels = true;
-    cfg.raw_live_reads = true;
     auto result = harness::run_workload(ds, stream, cfg);
     violations = harness::count_out_of_window_samples(
         result.samples, result.boundary_levels, result.window_base);
   }
   EXPECT_GT(violations, 0u)
-      << "raw live reads never observed an intermediate level; the "
+      << "NonSync reads never observed an intermediate level; the "
          "linearizability checker may be vacuous";
 }
 
