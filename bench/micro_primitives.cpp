@@ -1,7 +1,8 @@
 // google-benchmark micro suite: the hot primitives under the CPLDS — read
-// path (quiescent and descriptor-marked), union-find operations, descriptor
-// words, latency histogram recording, and the parallel runtime (fork2 /
-// parallel_for overhead, nested vs flat loops, worker scaling).
+// path (quiescent and descriptor-marked), a routed fan-out read, union-find
+// operations, descriptor words, latency histogram recording, and the
+// parallel runtime (fork2 / parallel_for overhead, nested vs flat loops,
+// worker scaling).
 //
 // After the google-benchmark run, main() executes a scheduler-overhead
 // sweep and emits machine-readable JSON lines (see bench_common.hpp's
@@ -12,6 +13,8 @@
 #include <functional>
 
 #include "bench_common.hpp"
+#include "cluster/router.hpp"
+#include "cluster/shard_group.hpp"
 #include "concurrent/descriptor_table.hpp"
 #include "concurrent/union_find.hpp"
 #include "core/cplds.hpp"
@@ -54,6 +57,31 @@ void BM_ReadCorenessNonSync(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReadCorenessNonSync);
+
+// A session read through the Router over a quiescent 2 partitions x 1
+// replica ShardGroup: the router's own per-read cost on top of two view
+// reads, outside any end-to-end benchmark.
+void BM_RouterFanOutRead(benchmark::State& state) {
+  constexpr vertex_t kN = 2000;
+  cluster::ClusterConfig cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.base.num_vertices = kN;
+  cluster::ShardGroup group(cfg);
+  for (const Edge& e : gen::barabasi_albert(kN, 4, 1)) {
+    group.submit({e, UpdateKind::kInsert});
+  }
+  group.quiesce();
+  cluster::Router router(group);
+  const auto session = router.make_session();
+  Xoshiro256 rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.read_coreness(
+        *session, static_cast<vertex_t>(rng.next_below(kN))));
+  }
+  group.shutdown();
+}
+BENCHMARK(BM_RouterFanOutRead);
 
 void BM_UnionFindFind(benchmark::State& state) {
   ConcurrentUnionFind uf(100000);

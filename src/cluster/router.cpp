@@ -1,6 +1,7 @@
 #include "cluster/router.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -11,6 +12,14 @@
 namespace cpkcore::cluster {
 
 namespace {
+
+// Per reader thread, shared by every router the thread reads through.
+// The rotation advances once per fan-out read, so partition p's first
+// replica tried cycles through all of its replicas over consecutive reads
+// of one thread. The countdown reaches 0 on a thread's first read and on
+// every kReadLatencySampleEvery-th read after it: those reads are timed.
+thread_local std::uint64_t t_rotation = 0;
+thread_local std::uint32_t t_reads_until_timed = 0;
 
 std::vector<Router::PartitionBackends> backends_of(ShardGroup& group) {
   std::vector<Router::PartitionBackends> parts;
@@ -51,9 +60,7 @@ Router::Router(Partitioner partitioner,
   for (std::size_t p = 0; p < parts_.size(); ++p) {
     const std::size_t n = parts_[p].replicas.size();
     if (n == 0) continue;
-    state_[p].replica_reads =
-        std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t r = 0; r < n; ++r) state_[p].replica_reads[r] = 0;
+    state_[p].replica_reads = std::make_unique<obs::Counter[]>(n);
   }
 }
 
@@ -66,20 +73,20 @@ std::uint64_t Router::write(Session& session, Update op) {
         "Router: partition primary stopped before acknowledging the write");
   }
   session.advance(p, lsn);
-  state_[p].writes.fetch_add(1, std::memory_order_relaxed);
+  state_[p].writes.add();
   return lsn;
 }
 
 int Router::pick_backend(std::size_t partition, std::uint64_t min_lsn,
+                         std::uint64_t rotation,
                          std::uint64_t* served_lsn) const {
   const PartitionBackends& part = parts_[partition];
   const std::size_t n = part.replicas.size();
   if (n > 0) {
-    const std::uint64_t start =
-        state_[partition].round_robin.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t start = n == 1 ? 0 : (rotation + partition) % n;
     bool skipped_stalled = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t r = (start + i) % n;
+      const std::size_t r = start + i < n ? start + i : start + i - n;
       // Sampled before the read: applied LSNs only grow, so the state the
       // read observes is at least this fresh.
       const std::uint64_t lsn = part.replicas[r]->applied_lsn();
@@ -116,14 +123,17 @@ template <typename V, typename MinLsn, typename Combine, typename ReplicaRead,
 Router::Result<V> Router::fan_out(MinLsn min_lsn_for, bool strict,
                                   Combine combine, ReplicaRead on_replica,
                                   PrimaryRead on_primary) const {
+  const bool timed = t_reads_until_timed == 0;
+  t_reads_until_timed =
+      timed ? kReadLatencySampleEvery - 1 : t_reads_until_timed - 1;
+  const std::uint64_t start_ns = timed ? now_ns() : 0;
+  const std::uint64_t rotation = t_rotation++;
   Result<V> result;
   result.parts.resize(parts_.size());
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  Timer read_timer;
   for (std::size_t p = 0; p < parts_.size(); ++p) {
     PartRead<V>& part = result.parts[p];
     const std::uint64_t min_lsn = min_lsn_for(p);
-    part.backend = pick_backend(p, min_lsn, &part.served_lsn);
+    part.backend = pick_backend(p, min_lsn, rotation, &part.served_lsn);
     // Session cursors are always serveable (the primary applied every
     // acked write before its ack became observable), so non-strict reads
     // take the first pick. An explicit cut can run ahead of the applied
@@ -134,19 +144,19 @@ Router::Result<V> Router::fan_out(MinLsn min_lsn_for, bool strict,
     // final frontier would spin forever.
     while (strict && part.served_lsn < min_lsn) {
       std::this_thread::yield();
-      part.backend = pick_backend(p, min_lsn, &part.served_lsn);
+      part.backend = pick_backend(p, min_lsn, rotation, &part.served_lsn);
     }
     if (part.backend == kPrimary) {
-      state_[p].primary_reads.fetch_add(1, std::memory_order_relaxed);
+      state_[p].primary_reads.add();
       part.value = on_primary(*parts_[p].primary);
     } else {
       const auto r = static_cast<std::size_t>(part.backend);
-      state_[p].replica_reads[r].fetch_add(1, std::memory_order_relaxed);
+      state_[p].replica_reads[r].add();
       part.value = on_replica(*parts_[p].replicas[r]);
     }
     result.value = p == 0 ? part.value : combine(result.value, part.value);
   }
-  read_latency_.record(read_timer.elapsed_ns());
+  if (timed) read_latency_.record(now_ns() - start_ns);
   return result;
 }
 
@@ -234,24 +244,25 @@ void Router::register_metrics(obs::MetricsRegistry* registry,
 
 Router::Stats Router::stats() const {
   Stats out;
-  out.reads = reads_.load(std::memory_order_relaxed);
   out.reads_rerouted_unhealthy =
       rerouted_unhealthy_.load(std::memory_order_relaxed);
   out.partitions.resize(parts_.size());
   for (std::size_t p = 0; p < parts_.size(); ++p) {
     PartitionStats& ps = out.partitions[p];
-    ps.writes = state_[p].writes.load(std::memory_order_relaxed);
-    ps.primary_reads =
-        state_[p].primary_reads.load(std::memory_order_relaxed);
+    ps.writes = state_[p].writes.value();
+    ps.primary_reads = state_[p].primary_reads.value();
     ps.replica_reads.resize(parts_[p].replicas.size());
     for (std::size_t r = 0; r < ps.replica_reads.size(); ++r) {
-      ps.replica_reads[r] =
-          state_[p].replica_reads[r].load(std::memory_order_relaxed);
+      ps.replica_reads[r] = state_[p].replica_reads[r].value();
       out.replica_reads += ps.replica_reads[r];
     }
     out.writes += ps.writes;
     out.primary_reads += ps.primary_reads;
   }
+  // Every fan-out read serves each partition exactly once.
+  const PartitionStats& first = out.partitions[0];
+  out.reads = std::accumulate(first.replica_reads.begin(),
+                              first.replica_reads.end(), first.primary_reads);
   return out;
 }
 

@@ -10,7 +10,7 @@
 //        │
 //        └──read(session, v)──▶ Router ──▶ partition 0: backend ≥ lsn[0]
 //                                  │       partition 1: backend ≥ lsn[1]
-//                                  │       ...        (round-robin replicas,
+//                                  │       ...        (rotating replicas,
 //                                  ▼                   primary fallback)
 //                          combine per-partition estimates
 //
@@ -32,9 +32,12 @@
 // Thread-safety: the router is fully thread-safe. A Session may be shared
 // by the threads of one logical client; its cursors only advance. Each
 // part-read lands on a backend's wait-free read (ReadMode::kCplds's view,
-// or kNonSync's live level), so fan-out cost is per-partition pointer
-// chases, not lock acquisitions — SyncReads still blocks per partition by
-// design.
+// or kNonSync's live level); SyncReads still blocks per partition by
+// design. The router's own bookkeeping stays off shared cache lines: the
+// replica rotation is a thread-local counter, serve counts go to
+// obs::Counter's per-thread stripes, and only a thread's first fan-out
+// read and one in kReadLatencySampleEvery after it read the clock and
+// take the latency histogram's stripe lock.
 #pragma once
 
 #include <atomic>
@@ -125,8 +128,10 @@ class Router {
   };
   struct Stats {
     std::uint64_t writes = 0;  ///< total routed writes
-    std::uint64_t reads = 0;   ///< fan-out read operations (each touches
-                               ///< every partition)
+    /// Fan-out read operations. Each serves every partition exactly once,
+    /// so this is partition 0's primary plus replica serves; it is exact
+    /// once the readers are quiescent.
+    std::uint64_t reads = 0;
     std::uint64_t primary_reads = 0;  ///< partition-serves, aggregated
     std::uint64_t replica_reads = 0;  ///< partition-serves, aggregated
     /// Partition-serves where an LSN-eligible replica was passed over
@@ -226,9 +231,13 @@ class Router {
   }
   [[nodiscard]] Stats stats() const;
 
-  /// Merged fan-out read-latency histogram (every read() records its
-  /// end-to-end time, whichever backends served it). This is the reader-
-  /// side health signal the cluster feedback loop uses: its p99 feeds
+  /// Each reader thread times its first fan-out read and then one in
+  /// every kReadLatencySampleEvery; the rest skip the clock.
+  static constexpr std::uint32_t kReadLatencySampleEvery = 16;
+
+  /// Merged histogram of the sampled fan-out reads' end-to-end times,
+  /// whichever backends served them. This is the reader-side health signal
+  /// the cluster feedback loop uses: its p99 feeds
   /// KCoreService::observe_cluster_feedback via ShardGroup::feed_feedback.
   [[nodiscard]] LatencyHistogram read_latency() const {
     return read_latency_.merged();
@@ -241,19 +250,20 @@ class Router {
                         std::string prefix = "router.");
 
  private:
-  /// Per-partition routing state (round-robin cursor + serve counters).
+  /// Per-partition serve counters, striped so the writer's and each
+  /// reader's increments land on their own cache lines.
   struct PartState {
-    std::atomic<std::uint64_t> round_robin{0};
-    std::atomic<std::uint64_t> writes{0};
-    std::atomic<std::uint64_t> primary_reads{0};
-    std::unique_ptr<std::atomic<std::uint64_t>[]> replica_reads;
+    obs::Counter writes;
+    obs::Counter primary_reads;
+    std::unique_ptr<obs::Counter[]> replica_reads;
   };
 
-  /// Picks a backend of `partition` whose applied LSN is >= min_lsn:
-  /// round-robin over the eligible replicas, primary fallback. Writes the
-  /// sampled LSN (the freshness lower bound) to *served_lsn.
+  /// Picks a backend of `partition` whose applied LSN is >= min_lsn: the
+  /// first eligible replica starting at (rotation + partition) mod the
+  /// replica count, primary fallback. Writes the sampled LSN (the
+  /// freshness lower bound) to *served_lsn.
   int pick_backend(std::size_t partition, std::uint64_t min_lsn,
-                   std::uint64_t* served_lsn) const;
+                   std::uint64_t rotation, std::uint64_t* served_lsn) const;
 
   /// The shared fan-out skeleton: for each partition, pick a backend at or
   /// past min_lsn_for(p), read through it, fold the value into the
@@ -268,9 +278,9 @@ class Router {
   Partitioner partitioner_;
   std::vector<PartitionBackends> parts_;
   std::unique_ptr<PartState[]> state_;
-  mutable std::atomic<std::uint64_t> reads_{0};
   mutable std::atomic<std::uint64_t> rerouted_unhealthy_{0};
-  /// Striped: fan-out reads record concurrently from any reader thread.
+  /// Striped: sampled fan-out reads record concurrently from any reader
+  /// thread.
   mutable obs::StripedHistogram read_latency_;
   // Declared last: deregisters before the members its collector reads.
   obs::MetricsGroup metrics_;

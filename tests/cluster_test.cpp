@@ -3,7 +3,8 @@
 // catch-up (ring and on-disk paths), the sharded write plane (Partitioner,
 // ShardGroup, per-partition replica bit-equivalence), the shard-aware
 // router's cross-partition read-your-writes guarantee under concurrent
-// writers + readers, the P=1 regression guard against the unsharded
+// writers + readers, its per-thread replica rotation, exact serve counts
+// and sampled read latency, the P=1 regression guard against the unsharded
 // topology, ingest backpressure (block and reject admission), WAL
 // durability levels, and LSN continuity across checkpoint + restart.
 //
@@ -383,6 +384,136 @@ TEST(Cluster, RouterFallsBackToPrimaryWhenNoReplicaQualifies) {
   EXPECT_EQ(lazy.parts[0].backend, 0);
   EXPECT_EQ(router.stats().partitions[0].replica_reads[0], 1u);
   primary.shutdown();
+}
+
+TEST(Cluster, RouterRotatesEveryPartitionsReplicasFromOneThread) {
+  // One thread's consecutive fan-out reads must start every partition on
+  // each of its replicas in turn. A rotation that advanced once per
+  // partition pick (instead of once per fan-out read) would start
+  // partition 0 only on even values at P = 2, R = 2, and its replica 1
+  // would never serve a session-less read.
+  constexpr std::size_t kParts = 2;
+  constexpr std::size_t kReps = 2;
+  constexpr vertex_t kN = 200;
+  ClusterConfig cfg;
+  cfg.partitions = kParts;
+  cfg.replicas = kReps;
+  cfg.base.num_vertices = kN;
+  ShardGroup group(cfg);
+  Router router(group);
+  for (const Edge& e : gen::barabasi_albert(kN, 3, 17)) {
+    group.submit({e, UpdateKind::kInsert});
+  }
+  group.quiesce();
+
+  constexpr std::size_t kReads = 64;
+  for (std::size_t i = 0; i < kReads; ++i) {
+    (void)router.read_coreness(static_cast<vertex_t>(i % kN));
+  }
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.reads, kReads);
+  EXPECT_EQ(stats.primary_reads, 0u);
+  for (std::size_t p = 0; p < kParts; ++p) {
+    for (std::size_t r = 0; r < kReps; ++r) {
+      EXPECT_EQ(stats.partitions[p].replica_reads[r], kReads / kReps)
+          << "partition " << p << " replica " << r;
+    }
+  }
+  group.shutdown();
+}
+
+TEST(Cluster, RouterStatsExactUnderConcurrentReaders) {
+  // Serve counters are per-thread stripes and Stats::reads is derived
+  // from partition 0's serves, so after the readers join every
+  // partition's serves must add up to exactly the reads made — session,
+  // session-less, level and strict at-cut reads alike.
+  const std::size_t kParts = test_write_shards();
+  const std::size_t kReps = test_replicas();
+  constexpr vertex_t kN = 600;
+  ClusterConfig cfg;
+  cfg.partitions = kParts;
+  cfg.replicas = kReps;
+  cfg.base.num_vertices = kN;
+  ShardGroup group(cfg);
+  Router router(group);
+  const auto session = router.make_session();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> writes{0};
+  std::thread writer([&] {
+    Xoshiro256 rng(5);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Edge e{static_cast<vertex_t>(rng.next_below(kN)),
+                   static_cast<vertex_t>(rng.next_below(kN))};
+      (void)router.write(*session, {e, UpdateKind::kInsert});
+      writes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  while (writes.load() == 0) std::this_thread::yield();
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kReadsPerReader = 5000;
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(300 + t);
+      for (std::size_t i = 0; i < kReadsPerReader; ++i) {
+        const auto v = static_cast<vertex_t>(rng.next_below(kN));
+        switch (i % 4) {
+          case 0: (void)router.read_coreness(*session, v); break;
+          case 1: (void)router.read_coreness(v); break;
+          case 2: (void)router.read_level(*session, v); break;
+          default:
+            (void)router.read_coreness_at_cut(router.consistent_cut(), v);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.reads, kReaders * kReadsPerReader);
+  EXPECT_EQ(stats.writes, writes.load());
+  for (std::size_t p = 0; p < kParts; ++p) {
+    std::uint64_t serves = stats.partitions[p].primary_reads;
+    for (const std::uint64_t r : stats.partitions[p].replica_reads) {
+      serves += r;
+    }
+    EXPECT_EQ(serves, stats.reads) << "partition " << p;
+  }
+  EXPECT_EQ(stats.primary_reads + stats.replica_reads, stats.reads * kParts);
+  group.shutdown();
+}
+
+TEST(Cluster, RouterSamplesReadLatency) {
+  // Each thread times its first fan-out read and then one in every
+  // kReadLatencySampleEvery; the serve counters count every read.
+  ClusterConfig cfg;
+  cfg.partitions = 2;
+  cfg.replicas = 1;
+  cfg.base.num_vertices = 100;
+  ShardGroup group(cfg);
+  group.submit_insert(1, 2);
+  group.quiesce();
+
+  Router once(group);
+  std::thread([&] { (void)once.read_coreness(1); }).join();
+  EXPECT_EQ(once.read_latency().count(), 1u);
+  EXPECT_EQ(once.stats().reads, 1u);
+
+  // 33 reads at the default 1 in 16: reads 1, 17 and 33 are timed.
+  constexpr std::uint64_t kReads = 2 * Router::kReadLatencySampleEvery + 1;
+  Router many(group);
+  std::thread([&] {
+    for (std::uint64_t i = 0; i < kReads; ++i) (void)many.read_coreness(1);
+  }).join();
+  EXPECT_EQ(many.read_latency().count(), 3u);
+  const auto stats = many.stats();
+  EXPECT_EQ(stats.reads, kReads);
+  EXPECT_EQ(stats.primary_reads + stats.replica_reads, 2 * kReads);
+  group.shutdown();
 }
 
 TEST(Cluster, ClusterWorkloadHarnessDrivesRouter) {
