@@ -106,9 +106,8 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Emits one result as a single JSON object line (JSON-lines format), so
-/// future PRs can diff perf trajectories without parsing text tables.
-/// Writes to stdout, or appends to the file named by CPKC_BENCH_JSON.
+/// Emits one result to stdout as a single JSON object line (JSON-lines
+/// format), so perf trajectories can be diffed without parsing text tables.
 inline void emit_json_line(const std::vector<JsonField>& fields) {
   std::string line = "{";
   bool first = true;
@@ -127,14 +126,6 @@ inline void emit_json_line(const std::vector<JsonField>& fields) {
     }
   }
   line += "}";
-  if (const char* path = std::getenv("CPKC_BENCH_JSON")) {
-    if (std::FILE* f = std::fopen(path, "a")) {
-      std::fputs(line.c_str(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      return;
-    }
-  }
   std::cout << line << "\n";
 }
 

@@ -5,9 +5,8 @@
 // worker scaling).
 //
 // After the google-benchmark run, main() executes a scheduler-overhead
-// sweep and emits machine-readable JSON lines (see bench_common.hpp's
-// emit_json_line; CPKC_BENCH_JSON redirects them to a file) so future PRs
-// have a perf trajectory to diff against.
+// sweep and prints machine-readable JSON lines to stdout (see
+// bench_common.hpp's emit_json_line); redirect stdout to keep them.
 #include <benchmark/benchmark.h>
 
 #include <functional>

@@ -148,12 +148,12 @@ std::uint64_t LogShipper::subscribe(std::uint64_t from_lsn,
           "LogShipper: subscriber needs records evicted from retention and "
           "the primary has no WAL to catch up from");
     }
-    // With an async commit engine the ring can be ahead of the disk: a
+    // With the WAL flusher the ring can be ahead of the disk: a
     // record enters retention at apply time but its frame may still sit in
-    // the engine's flush queue. Wait for the needed prefix to become
+    // the flusher's queue. Wait for the needed prefix to become
     // durable before scanning, or the scan would legitimately stop at the
     // not-yet-flushed tail and we would misreport "WAL ends before the
-    // retention ring begins". A false return (engine failed / service
+    // retention ring begins". A false return (flusher failed / service
     // stopping) falls through — the shortfall checks below surface it.
     if (need_below > 1) primary_.wait_wal_durable(need_below - 1);
     std::uint64_t served_upto = from_lsn;

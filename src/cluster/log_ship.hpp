@@ -29,8 +29,8 @@
 // Lifetime: construct after the primary, destroy (or detach()) before it.
 // Subscriber callbacks run under the shipper lock on the primary's apply
 // thread — or, when the primary ships at the durable point
-// (ServiceConfig::ship_at = kDurable with an async WAL engine), on the
-// engine's completion thread. Either way they must be fast
+// (ServiceConfig::ship_at = kDurable with a WAL), on the WAL flusher
+// thread. Either way they must be fast
 // (enqueue-and-return, as Replica does) and must not call back into the
 // shipper or the primary.
 #pragma once

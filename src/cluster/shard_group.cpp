@@ -66,8 +66,8 @@ ShardGroup::ShardGroup(ClusterConfig config)
     }
     if (cfg.health != nullptr) {
       // Same "p<p>." scheme for the health plane: partition p's apply
-      // thread registers as "p<p>.apply", its WAL engine thread as
-      // "p<p>.wal_flusher"/"p<p>.wal_reaper", all tagged partition p.
+      // thread registers as "p<p>.apply", its WAL flusher thread as
+      // "p<p>.wal_flusher", all tagged partition p.
       std::string hp = "p";
       hp += std::to_string(p);
       hp += '.';
@@ -342,8 +342,8 @@ void ShardGroup::shutdown() {
     lag_probes_.clear();
   }
   // Stage by dependency (replicas, shippers, primaries), each stage
-  // overlapped across partitions — a primary's shutdown drains its async
-  // WAL engine, and those waits should run concurrently, not in sequence.
+  // overlapped across partitions — a primary's shutdown drains its WAL
+  // flusher, and those waits should run concurrently, not in sequence.
   for_each_partition(replicas_.size(), [&](std::size_t p) {
     for (auto& r : replicas_[p]) r->stop();
   });

@@ -88,7 +88,7 @@ struct ClusterConfig {
   /// "p<p>.service.", shipper under "p<p>.ship.", replica r under
   /// "p<p>.replica<r>.") and adds per-partition replica-lag gauges under
   /// "cluster.". When `base.health` is set, the same "p<p>." scheme names
-  /// the health components (apply/WAL-engine heartbeats, replica apply
+  /// the health components (apply/WAL-flusher heartbeats, replica apply
   /// heartbeats "p<p>.replica<r>", lag probes "p<p>.replica_lag"), each
   /// tagged with its partition id for per-partition rollups.
   service::ServiceConfig base;
@@ -253,7 +253,7 @@ class ShardGroup {
 
   /// Graceful teardown in dependency order: replicas stop, shippers
   /// detach, primaries shut down (draining). Each stage runs its
-  /// partitions concurrently — with async WAL engines a primary's
+  /// partitions concurrently — with a WAL flusher a primary's
   /// shutdown waits out its in-flight flush chain, and overlapping those
   /// drains keeps teardown at slowest-partition cost. Idempotent; the
   /// destructor calls it.

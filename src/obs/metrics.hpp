@@ -1,6 +1,6 @@
 // MetricsRegistry — the unified metrics plane of the flight recorder.
 //
-// Every layer of the pipeline (scheduler, service, WAL engines, shippers,
+// Every layer of the pipeline (scheduler, service, WAL flusher, shippers,
 // replicas, router) owns its own counters/gauges/histograms and registers a
 // *source* with a registry: a named prefix plus a collect callback that
 // pushes current values into a MetricsSink. snapshot() walks the sources

@@ -8,11 +8,10 @@
 //
 // Correlation: every event carries an `id` — the pipeline stamps the LSN —
 // so one logical write can be followed across the apply thread, the WAL
-// engine's flusher/completion thread, the shipper, and each replica's
-// apply thread (in Perfetto, select an event and query/filter args.lsn).
-// Async phases ('b'/'e' with the LSN as the async id) additionally draw one
-// commit span that *starts* on the apply thread and *ends* on the engine's
-// completion thread.
+// flusher thread, the shipper, and each replica's apply thread (in
+// Perfetto, select an event and query/filter args.lsn). Async phases
+// ('b'/'e' with the LSN as the async id) additionally draw one commit span
+// that *starts* on the apply thread and *ends* on the WAL flusher thread.
 //
 // Gating:
 //  * Runtime: off unless the CPKC_TRACE environment variable is set to a

@@ -33,11 +33,11 @@ std::vector<UpdateBatch> coalesce_updates(std::vector<Update> ops,
 /// [min_ops, max_ops].
 ///
 /// The optional third observation is the applied->acked lag: when acks
-/// trail the apply (an async WAL engine's flush pipeline is the
+/// trail the apply (the WAL flusher's flush pipeline is the
 /// bottleneck), the lag EWMA eats into the latency target, so the budget
 /// backs off even though the apply itself is fast — smaller cycles, more
-/// frequent group commits, a shallower flush queue. A lag of 0 (sync
-/// commits, or the pipeline caught up) decays the EWMA back toward full
+/// frequent group commits, a shallower flush queue. A lag of 0 (acks at
+/// applied, or the pipeline caught up) decays the EWMA back toward full
 /// budget.
 ///
 /// Two further backoff triggers close the auto-tuning loop against the

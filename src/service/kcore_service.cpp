@@ -63,7 +63,6 @@ KCoreService::KCoreService(ServiceConfig config)
     // single-driver contract.
     WalOptions wal_options;
     wal_options.durability = config_.wal_durability;
-    wal_options.engine = config_.wal_engine;
     wal_options.health = config_.health;
     wal_options.health_prefix = config_.health_prefix;
     wal_options.health_partition = config_.health_partition;
@@ -72,19 +71,6 @@ KCoreService::KCoreService(ServiceConfig config)
         [&](std::uint64_t, const UpdateBatch& batch) { ds_->apply(batch); },
         wal_options);
     stats_.replayed_batches = info.replayed;
-    wal_engine_kind_ = info.engine;
-    // The engine the config asked for vs the one that actually runs: a
-    // kIoUring/kAuto intent landing on the flusher means the io_uring
-    // probe failed (kernel too old, seccomp, RLIMIT) — operationally
-    // interesting, so it goes in the journal, not just a stats label.
-    if (const WalEngineKind intent = resolve_wal_engine(config_.wal_engine);
-        intent != info.engine) {
-      obs::EventLog::instance().emit(
-          obs::Severity::kWarn, event_component(config_, "wal"),
-          "wal_engine_degraded",
-          {{"requested", wal_engine_name(intent)},
-           {"resolved", wal_engine_name(info.engine)}});
-    }
     // Resume LSN numbering where the committed log ends; the replayed
     // prefix is both committed and applied (and shipped: it predates any
     // listener).
@@ -116,7 +102,7 @@ KCoreService::KCoreService(ServiceConfig config)
       probe_name += "wal_divergence";
       // Samples on the watchdog thread: both cursors are atomics, and the
       // probe is tombstoned in stop() before wal_.close() tears the
-      // engine down.
+      // flusher down.
       divergence_probe_ = config_.health->register_probe(
           std::move(probe_name), config_.health_partition,
           [this]() -> double {
@@ -462,19 +448,17 @@ std::size_t KCoreService::run_cycle() {
       frames.push_back(WalFrame::encode(lsns[i], batches[i]));
     }
   }
-  // Group commit. With an async engine the staged bytes go to the engine
-  // and this thread moves straight on to apply — the pipelined path; the
-  // sync engine pays the write+sync here as before. `defer` is whether the
-  // *ack* must wait for the durable watermark: only at the sync durability
-  // levels (kOsCache acks at applied by definition — the bytes reaching
-  // the OS cache is not something a process crash can undo earlier than a
-  // sync-mode buffered write could).
-  const bool async_wal = wal_.is_open() && wal_.async_active();
-  const bool defer = async_wal && !lsns.empty() &&
+  // Group commit. The staged bytes go to the WAL flusher and this thread
+  // moves straight on to apply — the pipelined path. `defer` is whether
+  // the *ack* must wait for the durable watermark: only at the sync
+  // durability levels (kOsCache acks at applied by definition — the bytes
+  // reaching the OS cache is not something a process crash can undo
+  // earlier than a buffered write on this thread could).
+  const bool defer = wal_.is_open() && !lsns.empty() &&
                      config_.wal_durability != WalDurability::kOsCache;
   if (wal_.is_open()) {
     // The cross-thread commit span: begins here on the apply thread, ends
-    // in deliver_cycle — on the engine's completion thread when the ack is
+    // in deliver_cycle — on the flusher thread when the ack is
     // deferred to the durable watermark.
     if (!lsns.empty()) {
       CPKC_TRACE_ASYNC_BEGIN("commit", lsns.back(), ops.size());
@@ -483,11 +467,7 @@ std::size_t KCoreService::run_cycle() {
       CPKC_TRACE_SPAN(wal_span, "wal_submit",
                       lsns.empty() ? 0 : lsns.back(), batches.size());
       for (const WalFramePtr& frame : frames) wal_.append(*frame);
-      if (async_wal) {
-        wal_.commit_async();
-      } else {
-        wal_.flush();
-      }
+      wal_.commit_async();
     }
   }
   if (!lsns.empty() && !defer) {
@@ -515,7 +495,7 @@ std::size_t KCoreService::run_cycle() {
     if (!lsns.empty()) shipped_lsn_ = lsns.back();
   }
 
-  // Apply — overlapped with the previous cycle's flush when async.
+  // Apply — overlapped with the previous cycle's flush.
   std::uint64_t cycle_apply_ns = 0;
   std::size_t cycle_applied_edges = 0;
   std::vector<std::uint64_t> batch_ns;
@@ -573,7 +553,7 @@ std::size_t KCoreService::run_cycle() {
     // Inline ack only when nothing older is still waiting on the disk
     // (acking out of order would move a shard's `applied` frontier past an
     // older not-yet-durable op) and this cycle's own bytes are already
-    // covered by the watermark. The engine's callback stores the WAL
+    // covered by the watermark. The flusher's callback stores the WAL
     // watermark *before* it runs on_durable, so reading it under
     // pending_mu_ here cannot miss a completion that already popped the
     // queue: either the watermark covers us (ack inline) or on_durable for
@@ -593,8 +573,8 @@ std::size_t KCoreService::run_cycle() {
 void KCoreService::deliver_cycle(PendingCycle& cycle,
                                  std::uint64_t acked_at) {
   // Caller holds pending_mu_ (see header): acks serialize here. Closes the
-  // cross-thread commit span opened at WAL staging — on the engine's
-  // completion thread when the ack was deferred to the durable watermark.
+  // cross-thread commit span opened at WAL staging — on the flusher
+  // thread when the ack was deferred to the durable watermark.
   if (wal_.is_open()) {
     CPKC_TRACE_ASYNC_END("commit", cycle.upto_lsn, cycle.submit_ns.size());
   }
@@ -661,20 +641,20 @@ void KCoreService::on_durable(std::uint64_t lsn, const std::string* error) {
 
 void KCoreService::fail_from_durability(const std::string& what) {
   // Mirror of the apply-thread error containment, but running on the
-  // engine's completion thread: stop accepting, drop undeliverable pending
+  // WAL flusher thread: stop accepting, drop undeliverable pending
   // cycles (their acks can never be correct), release waiters with
   // wait() == false, keep reads serving. The apply thread itself hits the
-  // failed engine on its next commit and lands in the same stopped state.
+  // failed flusher on its next commit and lands in the same stopped state.
   {
     std::lock_guard lock(stats_mu_);
     if (stats_.apply_error.empty()) {
-      stats_.apply_error = "WAL durability engine failed: " + what;
+      stats_.apply_error = "WAL flusher failed: " + what;
     }
   }
   obs::EventLog::instance().emit(
       obs::Severity::kError, event_component(config_, "wal"),
       "durability_failed", {{"error", what}});
-  std::fprintf(stderr, "KCoreService: WAL durability engine failed: %s\n",
+  std::fprintf(stderr, "KCoreService: WAL flusher failed: %s\n",
                what.c_str());
   {
     std::lock_guard lock(ingest_mu_);
@@ -780,13 +760,13 @@ void KCoreService::stop(bool drain_first) {
   if (apply_thread_.joinable()) apply_thread_.join();
   if (drain_first) {
     // Graceful shutdown must not set dead_ (releasing waiters with
-    // wait() == false) while deferred acks are still riding the durability
-    // engine: wait the watermark out — the engine fires every completion
+    // wait() == false) while deferred acks are still riding the WAL
+    // flusher: wait the watermark out — the flusher fires every completion
     // callback *before* wait_durable returns, so once this passes, every
-    // ackable op has acked. An engine failure already released waiters via
+    // ackable op has acked. A flusher failure already released waiters via
     // fail_from_durability; swallow it here.
     std::lock_guard lock(apply_mu_);
-    if (wal_.is_open() && wal_.async_active()) {
+    if (wal_.is_open()) {
       try {
         wal_.wait_durable(wal_.staged_lsn());
       } catch (const std::exception&) {
@@ -815,7 +795,7 @@ void KCoreService::stop(bool drain_first) {
   }
   // Under apply_mu_: a concurrent checkpoint() holds it while compacting
   // the WAL, and WriteAheadLog is not thread-safe. (close() also drains
-  // and stops the engine — on the crash path any completions that still
+  // and stops the flusher — on the crash path any completions that still
   // fire may ack genuinely-durable ops, which is correct: wait() == false
   // means "outcome unknown", and these outcomes are known good.)
   std::lock_guard lock(apply_mu_);
@@ -834,7 +814,7 @@ ServiceStats KCoreService::stats() const {
   out.commit_lsn = commit_lsn_.load(std::memory_order_acquire);
   out.applied_lsn = applied_lsn_.load(std::memory_order_acquire);
   out.durable_lsn = durable_lsn();
-  out.wal_engine = wal_engine_name(wal_engine_kind_);
+  if (!config_.wal_path.empty()) out.wal_engine = "flusher";
   {
     const WalFlushStats fs = wal_.flush_stats();
     out.wal_flushes =

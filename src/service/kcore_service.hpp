@@ -30,13 +30,13 @@
 //    where the log left off. checkpoint() compacts by streaming a snapshot
 //    from a consistent cut, pausing updates only to copy the edge set and
 //    to swap in the compacted WAL.
-//  * Pipelined commit (ServiceConfig::wal_engine): with an async WAL engine
-//    the cycle splits into *applied* (CPLDS mutated, frame staged to the
-//    engine and — at ShipPoint::kApplied — handed to the shipper) and
-//    *durable* (the engine's watermark reached the cycle's last LSN). At
-//    kOsCache tickets still ack at applied; at the sync levels the ack, the
+//  * Pipelined commit: with a WAL the cycle splits into *applied* (CPLDS
+//    mutated, frame staged to the WAL flusher and — at
+//    ShipPoint::kApplied — handed to the shipper) and *durable* (the
+//    flusher's watermark reached the cycle's last LSN). At kOsCache
+//    tickets still ack at applied; at the sync levels the ack, the
 //    commit-LSN advance, and (at ShipPoint::kDurable) the shipping are
-//    deferred to the watermark via the engine's completion callback — so
+//    deferred to the watermark via the flusher's completion callback — so
 //    cycle N+1 applies while cycle N's flush is in flight, and no ack ever
 //    precedes its durability point. The committed-prefix replay guarantee
 //    is unchanged: replay truncates to what actually hit the disk.
@@ -124,11 +124,6 @@ struct ServiceConfig {
   std::string wal_path;
   std::string snapshot_path;
   WalDurability wal_durability = WalDurability::kOsCache;
-  /// WAL commit engine. kAuto (the default) probes for io_uring and falls
-  /// back to the flusher thread, honoring the CPKC_WAL_ENGINE env override
-  /// (kAuto only — a pinned engine stays pinned); kSync restores the
-  /// pre-PR-7 flush-on-the-apply-thread path, the benchmark baseline.
-  WalEngine wal_engine = WalEngine::kAuto;
   /// Where committed batches are handed to the commit listener.
   ShipPoint ship_at = ShipPoint::kApplied;
 
@@ -156,7 +151,7 @@ struct ServiceConfig {
   /// Health plane (optional): with a monitor set, the service registers
   /// the apply thread's heartbeat as "<health_prefix>apply" (idle while
   /// parked on the ingest cv, beaten per drain cycle), passes the monitor
-  /// through to the WAL for its engine-thread heartbeat, and — when the
+  /// through to the WAL for its flusher-thread heartbeat, and — when the
   /// divergence thresholds below are nonzero — registers a value probe
   /// "<health_prefix>wal_divergence" sampling applied_lsn - durable_lsn
   /// (how far acked-side progress has run ahead of the disk). Null =
@@ -191,17 +186,17 @@ struct ServiceStats {
   std::uint64_t durable_lsn = 0;     ///< WAL durable watermark
   double apply_seconds = 0.0;        ///< total time inside CPLDS::apply
   std::size_t batch_budget = 0;      ///< current adaptive per-cycle budget
-  std::uint64_t wal_flushes = 0;     ///< completed WAL flushes (engine+sync)
+  std::uint64_t wal_flushes = 0;     ///< completed WAL flushes
   std::uint64_t wal_flush_bytes = 0;  ///< bytes those flushes made durable
-  std::size_t wal_flush_depth = 0;   ///< gauge: commits in the engine queue
+  std::size_t wal_flush_depth = 0;   ///< gauge: commits in the flusher queue
   std::size_t wal_inflight_bytes = 0;  ///< gauge: bytes of those commits
-  std::string wal_engine = "sync";   ///< resolved engine (wal_engine_name)
+  std::string wal_engine = "none";   ///< "flusher" with a WAL, else "none"
   std::vector<std::size_t> shard_depths;  ///< queue-depth gauge per shard
   LatencyHistogram ack_latency;      ///< submit() -> acknowledgment, ns
   LatencyHistogram apply_latency;    ///< per-batch CPLDS::apply, ns
-  /// submit() -> applied-to-the-CPLDS, ns: the ack-vs-apply split. With a
-  /// sync WAL the two histograms coincide; with an async engine at a sync
-  /// durability level the gap between them is the durability pipeline.
+  /// submit() -> applied-to-the-CPLDS, ns: the ack-vs-apply split. At
+  /// kOsCache the two histograms coincide; at a sync durability level the
+  /// gap between them is the durability pipeline.
   LatencyHistogram applied_latency;
   /// applied -> acked per cycle, ns: how long acks trailed the apply while
   /// the flush was in flight (~0 when acks are inline).
@@ -277,16 +272,16 @@ class KCoreService {
   /// already shipped as of registration: every batch with a higher LSN
   /// will be delivered, every batch at or below it will not. Depending on
   /// ServiceConfig::ship_at the listener runs on the apply thread (cycle
-  /// lock held) or on the durability engine's completion thread: it must
+  /// lock held) or on the WAL flusher thread: it must
   /// be fast and must not call back into this service.
   std::uint64_t set_commit_listener(CommitListener listener);
 
   /// Last group-committed / last applied LSN. On the primary, every acked
   /// write's LSN is <= applied_lsn() from the moment the ack is observable,
   /// so primary reads always satisfy read-your-writes. At the sync
-  /// durability levels commit_lsn() advances at the durable watermark (an
-  /// async engine may leave it trailing applied_lsn() while a flush is in
-  /// flight); at kOsCache it advances when the cycle stages its bytes.
+  /// durability levels commit_lsn() advances at the durable watermark (it
+  /// may trail applied_lsn() while a flush is in flight); at kOsCache it
+  /// advances when the cycle stages its bytes.
   [[nodiscard]] std::uint64_t commit_lsn() const {
     return commit_lsn_.load(std::memory_order_acquire);
   }
@@ -300,7 +295,7 @@ class KCoreService {
   [[nodiscard]] std::uint64_t durable_lsn() const;
 
   /// Blocks until the WAL watermark covers `lsn` (clamped to what has been
-  /// staged). Returns false when it cannot get there — engine failure or
+  /// staged). Returns false when it cannot get there — flusher failure or
   /// shutdown; callers treat that as "proceed and let the read-side error
   /// paths report the shortfall". Used by the cluster layer's disk
   /// catch-up, which must not scan the log for bytes still in flight.
@@ -400,8 +395,8 @@ class KCoreService {
   };
 
   /// One drained cycle's deferred-ack state, queued until the WAL durable
-  /// watermark covers upto_lsn (sync durability levels with an async
-  /// engine); acked inline otherwise.
+  /// watermark covers upto_lsn (sync durability levels); acked inline
+  /// otherwise.
   struct PendingCycle {
     std::uint64_t upto_lsn = 0;   ///< durable once the watermark reaches it
     std::uint64_t cycle_lsn = 0;  ///< LSN the cycle's ops ack at
@@ -421,7 +416,7 @@ class KCoreService {
   /// One drain-coalesce-log-apply-ack cycle; returns ops processed.
   std::size_t run_cycle();
   void stop(bool drain_first);
-  /// Durability-engine completion callback (runs on its completion thread):
+  /// WAL flusher completion callback (runs on the flusher thread):
   /// advances commit_lsn_ at the sync levels and delivers every pending
   /// cycle the watermark now covers; an error fails the service like an
   /// apply-thread error.
@@ -457,7 +452,7 @@ class KCoreService {
   // Serializes drain cycles against checkpoint() and listener swaps.
   // Lock order (outer to inner): apply_mu_ > pending_mu_ > ship_mu_ >
   // stats_mu_ > Shard::mu. The durability completion thread starts at
-  // pending_mu_ and NEVER takes apply_mu_ (shutdown waits out the engine
+  // pending_mu_ and NEVER takes apply_mu_ (shutdown waits out the flusher
   // while holding it).
   std::mutex apply_mu_;
   /// Written under apply_mu_ + ship_mu_ both; readable under either (the
@@ -466,8 +461,7 @@ class KCoreService {
   CommitListener commit_listener_;
 
   /// Cycles applied but not yet durable, in commit order (under
-  /// pending_mu_). Non-empty only at the sync durability levels with an
-  /// async engine.
+  /// pending_mu_). Non-empty only at the sync durability levels.
   std::mutex pending_mu_;
   std::deque<PendingCycle> pending_;
 
@@ -492,7 +486,6 @@ class KCoreService {
   /// thread each cycle and fed to the sizer alongside the ack lag.
   std::atomic<std::uint64_t> replica_lag_signal_{0};
   std::atomic<std::uint64_t> read_p99_signal_{0};
-  WalEngineKind wal_engine_kind_ = WalEngineKind::kSync;  ///< resolved
 
   /// Health plane (config_.health != nullptr): the apply thread's
   /// heartbeat and the staged-vs-durable divergence probe. Tombstoned in

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/health.hpp"
 
@@ -175,8 +176,11 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
     fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
     if (fd_ < 0) throw std::runtime_error("cannot append to WAL: " + path);
   } else {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                 0644);
+    // O_APPEND like the reopen path: the flusher pwrites past this fd's
+    // own offset, so a later write through fd_ (close()'s tail push,
+    // reset()'s header after ftruncate) must land at end of file.
+    fd_ = ::open(path_.c_str(),
+                 O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
     if (fd_ < 0) throw std::runtime_error("cannot create WAL: " + path);
     created = true;
     append_wal_header_v4(buf_, num_vertices_, base_lsn_);
@@ -184,8 +188,8 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   prealloc_limit_ = size_;
   const std::uint64_t start_lsn = info.replayed > 0 ? info.last_lsn : base_lsn_;
   staged_lsn_.store(start_lsn, std::memory_order_relaxed);
-  // flush() below runs in sync mode (the engine starts after it), so the
-  // header/truncation point is on disk before the engine takes the fd over.
+  // flush() below writes through fd_ (the flusher starts after it), so the
+  // header/truncation point is on disk before the flusher takes over.
   flush();
   // A freshly-created file only survives power failure once its directory
   // entry is durable too; at the sync durability levels, close that window
@@ -193,79 +197,73 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   if (created && options_.durability != WalDurability::kOsCache) {
     sync_parent_dir();
   }
-  engine_kind_ = resolve_wal_engine(options_.engine);
-  start_engine();
-  info.engine = engine_kind_;
+  start_flusher();
   return info;
 }
 
-void WriteAheadLog::start_engine() {
-  if (engine_kind_ == WalEngineKind::kSync) return;
+void WriteAheadLog::start_flusher() {
   if (options_.health != nullptr) {
-    // One heartbeat per engine incarnation, named after what actually
-    // runs; the old handle was tombstoned in stop_engine.
-    std::string name = options_.health_prefix;
-    name += engine_kind_ == WalEngineKind::kIoUring ? "wal_reaper"
-                                                    : "wal_flusher";
-    engine_heartbeat_ = options_.health->register_thread(
-        std::move(name), options_.health_partition);
+    // One heartbeat per flusher incarnation; the old handle was tombstoned
+    // in stop_flusher.
+    flusher_heartbeat_ = options_.health->register_thread(
+        options_.health_prefix + "wal_flusher", options_.health_partition);
   }
-  std::shared_ptr<WalCommitEngine> engine = make_wal_commit_engine(
-      engine_kind_, path_, options_.durability, size_,
-      staged_lsn_.load(std::memory_order_relaxed), engine_heartbeat_);
-  engine->set_durable_callback(
-      [this](std::uint64_t lsn, const std::string* error) {
-        if (error == nullptr) {
-          // Monotone max (a restarted engine re-seeds at the old staged
-          // LSN, never below the published watermark).
-          std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
-          while (cur < lsn && !durable_lsn_.compare_exchange_weak(
-                                  cur, lsn, std::memory_order_release,
-                                  std::memory_order_relaxed)) {
-          }
-        }
-        WalCommitEngine::DurableFn cb;
-        {
-          std::lock_guard lock(engine_mu_);
-          cb = durable_cb_;
-        }
-        if (cb) cb(lsn, error);
-      });
-  std::lock_guard lock(engine_mu_);
-  engine_ = std::move(engine);
+  auto on_durable = [this](std::uint64_t lsn, const std::string* error) {
+    if (error == nullptr) {
+      // Monotone max (a restarted flusher re-seeds at the old staged LSN,
+      // never below the published watermark).
+      std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
+      while (cur < lsn && !durable_lsn_.compare_exchange_weak(
+                              cur, lsn, std::memory_order_release,
+                              std::memory_order_relaxed)) {
+      }
+    }
+    WalFlusher::DurableFn cb;
+    {
+      std::lock_guard lock(flusher_mu_);
+      cb = durable_cb_;
+    }
+    if (cb) cb(lsn, error);
+  };
+  auto flusher = std::make_shared<WalFlusher>(
+      path_, options_.durability, size_,
+      staged_lsn_.load(std::memory_order_relaxed), std::move(on_durable),
+      flusher_heartbeat_);
+  std::lock_guard lock(flusher_mu_);
+  flusher_ = std::move(flusher);
 }
 
-void WriteAheadLog::stop_engine(bool swallow_errors) {
-  std::shared_ptr<WalCommitEngine> engine;
+void WriteAheadLog::stop_flusher(bool swallow_errors) {
+  std::shared_ptr<WalFlusher> flusher;
   {
-    std::lock_guard lock(engine_mu_);
-    engine = std::move(engine_);
-    engine_ = nullptr;
+    std::lock_guard lock(flusher_mu_);
+    flusher = std::move(flusher_);
+    flusher_ = nullptr;
   }
-  if (engine == nullptr) return;
-  // stop() drains and joins with engine_mu_ released: the completion
-  // thread's durable-callback wrapper takes engine_mu_. Fold the stopped
-  // engine's counters + final watermark (its last *good* LSN even on a
+  if (flusher == nullptr) return;
+  // stop() drains and joins with flusher_mu_ released: the flusher
+  // thread's durable-callback wrapper takes flusher_mu_. Fold the stopped
+  // flusher's counters + final watermark (its last *good* LSN even on a
   // failure — never past what actually hit the disk) either way.
   const auto fold = [&] {
-    const WalFlushStats s = engine->stats();
+    const WalFlushStats s = flusher->stats();
     acc_flushes_.fetch_add(s.flushes, std::memory_order_relaxed);
     acc_flushed_bytes_.fetch_add(s.flushed_bytes, std::memory_order_relaxed);
-    const std::uint64_t final_lsn = engine->durable_lsn();
+    const std::uint64_t final_lsn = flusher->durable_lsn();
     std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
     while (cur < final_lsn && !durable_lsn_.compare_exchange_weak(
                                   cur, final_lsn, std::memory_order_release,
                                   std::memory_order_relaxed)) {
     }
-    // The engine thread is joined by stop() on every path (failure
+    // The flusher thread is joined by stop() on every path (failure
     // included), so the heartbeat can be tombstoned here.
-    if (engine_heartbeat_ != nullptr && options_.health != nullptr) {
-      options_.health->unregister(engine_heartbeat_);
-      engine_heartbeat_ = nullptr;
+    if (flusher_heartbeat_ != nullptr && options_.health != nullptr) {
+      options_.health->unregister(flusher_heartbeat_);
+      flusher_heartbeat_ = nullptr;
     }
   };
   try {
-    engine->stop(swallow_errors);
+    flusher->stop(swallow_errors);
   } catch (...) {
     fold();
     throw;
@@ -273,9 +271,9 @@ void WriteAheadLog::stop_engine(bool swallow_errors) {
   fold();
 }
 
-std::shared_ptr<WalCommitEngine> WriteAheadLog::engine_snapshot() const {
-  std::lock_guard lock(engine_mu_);
-  return engine_;
+std::shared_ptr<WalFlusher> WriteAheadLog::flusher_snapshot() const {
+  std::lock_guard lock(flusher_mu_);
+  return flusher_;
 }
 
 void WriteAheadLog::append(const WalFrame& frame) {
@@ -293,14 +291,15 @@ void WriteAheadLog::write_out(const unsigned char* data, std::size_t len) {
 
 void WriteAheadLog::flush() {
   if (fd_ < 0) throw std::runtime_error("WAL flush failed: " + path_);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) {
-    // Async mode never writes through fd_ (the engine owns the append
-    // frontier): a full flush is submit-everything + wait-for-the-watermark.
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher != nullptr) {
+    // A running flusher owns the append frontier (nothing goes through
+    // fd_): a full flush is submit-everything + wait-for-the-watermark.
     commit_async();
-    engine->wait_durable(staged_lsn_.load(std::memory_order_acquire));
+    flusher->wait_durable(staged_lsn_.load(std::memory_order_acquire));
     return;
   }
+  // No flusher: open()/reset()/compact() writing with it stopped.
   if (!buf_.empty()) {
     ensure_preallocated(buf_.size());
     const std::size_t bytes = buf_.size();
@@ -317,34 +316,32 @@ void WriteAheadLog::flush() {
 
 void WriteAheadLog::commit_async() {
   if (fd_ < 0) throw std::runtime_error("WAL commit failed: " + path_);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine == nullptr) {
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher == nullptr) {
     flush();
     return;
   }
   if (buf_.empty()) return;
-  // Preallocation goes through fd_ — same inode the engine writes to, so
-  // its extents land ahead of the engine's append frontier all the same.
+  // Preallocation goes through fd_ — same inode the flusher writes to, so
+  // its extents land ahead of the flusher's append frontier all the same.
   ensure_preallocated(buf_.size());
   std::vector<unsigned char> bytes;
   bytes.swap(buf_);
-  size_ += bytes.size();  // staged: the engine owns these offsets now
-  engine->submit(std::move(bytes),
-                 staged_lsn_.load(std::memory_order_relaxed));
+  size_ += bytes.size();  // staged: the flusher owns these offsets now
+  flusher->submit(std::move(bytes),
+                  staged_lsn_.load(std::memory_order_relaxed));
 }
 
 void WriteAheadLog::wait_durable(std::uint64_t lsn) {
   const std::uint64_t staged = staged_lsn_.load(std::memory_order_acquire);
   if (lsn > staged) lsn = staged;
   if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) engine->wait_durable(lsn);
-  // Sync mode: the watermark tracks flush(), which the committer owns —
-  // durable < lsn here just means bytes still buffered on their side.
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher != nullptr) flusher->wait_durable(lsn);
 }
 
-void WriteAheadLog::set_durable_callback(WalCommitEngine::DurableFn fn) {
-  std::lock_guard lock(engine_mu_);
+void WriteAheadLog::set_durable_callback(WalFlusher::DurableFn fn) {
+  std::lock_guard lock(flusher_mu_);
   durable_cb_ = std::move(fn);
 }
 
@@ -352,23 +349,15 @@ WalFlushStats WriteAheadLog::flush_stats() const {
   WalFlushStats out;
   out.flushes = acc_flushes_.load(std::memory_order_relaxed);
   out.flushed_bytes = acc_flushed_bytes_.load(std::memory_order_relaxed);
-  const std::shared_ptr<WalCommitEngine> engine = engine_snapshot();
-  if (engine != nullptr) {
-    const WalFlushStats live = engine->stats();
+  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
+  if (flusher != nullptr) {
+    const WalFlushStats live = flusher->stats();
     out.flushes += live.flushes;
     out.flushed_bytes += live.flushed_bytes;
     out.flush_depth = live.flush_depth;
     out.inflight_bytes = live.inflight_bytes;
   }
   return out;
-}
-
-bool WriteAheadLog::async_active() const {
-  return engine_snapshot() != nullptr;
-}
-
-WalEngineKind WriteAheadLog::engine_kind() const {
-  return async_active() ? engine_kind_ : WalEngineKind::kSync;
 }
 
 void WriteAheadLog::sync_data() {
@@ -421,9 +410,9 @@ void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
 
 void WriteAheadLog::reset(std::uint64_t base_lsn) {
   if (fd_ < 0) throw std::runtime_error("cannot reset WAL: " + path_);
-  // Exclusive rewrite: drain + stop the engine so no in-flight write can
+  // Exclusive rewrite: drain + stop the flusher so no in-flight write can
   // land past the truncation point, restart it at the new frontier below.
-  stop_engine(/*swallow_errors=*/false);
+  stop_flusher(/*swallow_errors=*/false);
   if (::ftruncate(fd_, 0) != 0) {
     throw std::runtime_error("cannot reset WAL: " + path_);
   }
@@ -436,13 +425,13 @@ void WriteAheadLog::reset(std::uint64_t base_lsn) {
   durable_lsn_.store(base_lsn, std::memory_order_relaxed);
   flush();
   if (options_.durability != WalDurability::kOsCache) sync_parent_dir();
-  start_engine();
+  start_flusher();
 }
 
 void WriteAheadLog::compact(std::uint64_t base_lsn) {
-  // Exclusive rewrite (see reset()): drain + stop the engine so the slurp
+  // Exclusive rewrite (see reset()): drain + stop the flusher so the slurp
   // below sees every submitted byte and replace_file swaps a quiet inode.
-  stop_engine(/*swallow_errors=*/false);
+  stop_flusher(/*swallow_errors=*/false);
   flush();  // the scan below must see every appended record
   std::vector<unsigned char> image;
   const std::vector<unsigned char> contents = slurp(path_);
@@ -463,13 +452,13 @@ void WriteAheadLog::compact(std::uint64_t base_lsn) {
   base_lsn_ = base_lsn;
   size_ = image.size();
   prealloc_limit_ = size_;
-  start_engine();
+  start_flusher();
 }
 
 void WriteAheadLog::close() {
-  // Best-effort drain of the engine first (destructor path: errors are a
+  // Best-effort drain of the flusher first (destructor path: errors are a
   // lost cause here; flush()/commit_async() are the throwing paths).
-  stop_engine(/*swallow_errors=*/true);
+  stop_flusher(/*swallow_errors=*/true);
   if (fd_ < 0) return;
   // Best-effort final push of buffered records; close() runs from the
   // destructor, so IO errors are swallowed here (flush() is the throwing

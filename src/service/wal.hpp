@@ -41,17 +41,15 @@
 // so group commits extend into reserved extents instead of paying block
 // allocation on the latency path; logical file size is unaffected.
 //
-// Commit engines (WalOptions::engine — see wal_async.hpp): with kSync the
-// caller's flush() pays the write+sync itself (the pre-PR-7 path, still the
-// default for standalone WriteAheadLog users); with an async engine
-// (flusher thread or io_uring) commit_async() hands the buffered bytes to
-// the engine and returns immediately — the *staged* LSN (everything
-// appended) runs ahead of the *durable* LSN watermark (everything the
-// engine completed), wait_durable() bridges the two, and the durable
-// callback fires as the watermark advances. While an engine is active the
-// log routes every byte through it (the engine owns its own non-O_APPEND
-// fd and explicit offsets); reset()/compact()/close() drain and stop the
-// engine around their exclusive rewrites and restart it after.
+// Pipelined commit (see wal_async.hpp): an open log runs a WalFlusher
+// thread, and commit_async() hands the buffered bytes to it and returns
+// immediately — the *staged* LSN (everything appended) runs ahead of the
+// *durable* LSN watermark (everything the flusher completed),
+// wait_durable() bridges the two, and the durable callback fires as the
+// watermark advances. flush() is commit_async() + wait_durable(). The
+// flusher owns its own non-O_APPEND fd and explicit offsets, so the log
+// routes every byte through it; reset()/compact()/close() drain and stop
+// the flusher around their exclusive rewrites and restart it after.
 #pragma once
 
 #include <atomic>
@@ -77,15 +75,10 @@ struct WalOptions {
   WalDurability durability = WalDurability::kOsCache;
   /// Preallocation step (bytes) ahead of the append frontier; 0 disables.
   std::size_t preallocate_bytes = std::size_t{4} << 20;
-  /// Commit engine. kSync keeps flush() on the caller; kAuto/kFlusher/
-  /// kIoUring run an async engine behind commit_async() (see wal_async.hpp
-  /// for resolution and the CPKC_WAL_ENGINE override, kAuto only).
-  WalEngine engine = WalEngine::kSync;
 
   /// Health plane (optional): with a monitor set, the log registers a
-  /// heartbeat component for the engine's completion thread (named
-  /// "<health_prefix>wal_flusher" / "...wal_reaper" after the resolved
-  /// engine) each time an engine starts, and tombstones it when the engine
+  /// heartbeat component "<health_prefix>wal_flusher" for the flusher
+  /// thread each time a flusher starts, and tombstones it when the flusher
   /// stops — so a flusher wedged behind a hung disk classifies stalled.
   obs::HealthMonitor* health = nullptr;
   std::string health_prefix;  ///< usually "" or "p<p>."
@@ -101,7 +94,6 @@ using WalFrameFn = std::function<void(const WalFramePtr&)>;
 struct WalOpenInfo {
   std::size_t replayed = 0;      ///< committed batches replayed
   std::uint64_t last_lsn = 0;    ///< last committed LSN (= base_lsn if none)
-  WalEngineKind engine = WalEngineKind::kSync;  ///< resolved commit engine
 };
 
 class WriteAheadLog {
@@ -132,22 +124,19 @@ class WriteAheadLog {
   /// canonical deduplicated batches).
   void append(std::uint64_t lsn, const UpdateBatch& batch);
 
-  /// Group commit: pushes every appended record to the OS in one write,
-  /// then applies the configured durability level (fdatasync/fsync).
-  /// With an async engine active this degenerates to commit_async() +
-  /// wait_durable(staged) — every appended record is durable on return
-  /// either way. Throws std::runtime_error if the write or sync failed.
+  /// Group commit: commit_async() + wait_durable(staged) — every appended
+  /// record has reached the configured durability level (fdatasync/fsync)
+  /// on return. Throws std::runtime_error if the write or sync failed.
   void flush();
 
-  /// Pipelined group commit: hands the buffered records to the async
-  /// engine and returns without waiting for the disk — the durable-LSN
-  /// watermark advances (and the durable callback fires) when the engine
-  /// completes them. Falls back to flush() when no engine is active. May
-  /// block briefly on engine backpressure; throws after an engine failure.
+  /// Pipelined group commit: hands the buffered records to the flusher and
+  /// returns without waiting for the disk — the durable-LSN watermark
+  /// advances (and the durable callback fires) when the flusher completes
+  /// them. Throws after a flusher failure.
   void commit_async();
 
-  /// Last LSN handed to append() (= durable_lsn() in sync mode after each
-  /// flush; runs ahead of it while async commits are in flight).
+  /// Last LSN handed to append() (runs ahead of durable_lsn() while
+  /// commits are in flight).
   [[nodiscard]] std::uint64_t staged_lsn() const {
     return staged_lsn_.load(std::memory_order_acquire);
   }
@@ -161,23 +150,17 @@ class WriteAheadLog {
   /// Blocks until durable_lsn() >= min(lsn, staged_lsn()) — the clamp
   /// makes "wait for everything appended so far" spelled wait_durable(~0)
   /// safe. Callable from any thread concurrently with commits. Throws
-  /// std::runtime_error if the engine failed.
+  /// std::runtime_error if the flusher failed.
   void wait_durable(std::uint64_t lsn);
 
-  /// Replaces the durable callback (fires on the engine's completion
-  /// thread, *before* wait_durable waiters wake — see wal_async.hpp; never
-  /// fires in sync mode). Call before the first commit_async().
-  void set_durable_callback(WalCommitEngine::DurableFn fn);
+  /// Replaces the durable callback (fires on the flusher thread, *before*
+  /// wait_durable waiters wake — see wal_async.hpp). Call before the first
+  /// commit_async().
+  void set_durable_callback(WalFlusher::DurableFn fn);
 
-  /// Flush-pipeline counters, accumulated across engine restarts
-  /// (compact()/reset()) and including sync-mode flushes.
+  /// Flush-pipeline counters, accumulated across flusher restarts
+  /// (compact()/reset()) and including the header writes those make.
   [[nodiscard]] WalFlushStats flush_stats() const;
-
-  /// True when an async engine owns the flush path.
-  [[nodiscard]] bool async_active() const;
-
-  /// The engine actually running (kSync when none).
-  [[nodiscard]] WalEngineKind engine_kind() const;
 
   /// Compaction to empty: truncates the log to a header whose base LSN is
   /// `base_lsn` (the LSN up to which the logical state has been persisted
@@ -205,13 +188,13 @@ class WriteAheadLog {
   void sync_data();
   void sync_parent_dir() const;
   void ensure_preallocated(std::size_t upcoming);
-  /// Builds + starts the configured engine at the current append frontier
-  /// (call only with no bytes in flight: right after open/reset/compact).
-  void start_engine();
-  /// Drains, detaches, and stops the engine, folding its counters into the
-  /// accumulated totals. No-op when none is active.
-  void stop_engine(bool swallow_errors);
-  [[nodiscard]] std::shared_ptr<WalCommitEngine> engine_snapshot() const;
+  /// Builds + starts a flusher at the current append frontier (call only
+  /// with no bytes in flight: right after open/reset/compact).
+  void start_flusher();
+  /// Drains, detaches, and stops the flusher, folding its counters into
+  /// the accumulated totals. No-op when none is running.
+  void stop_flusher(bool swallow_errors);
+  [[nodiscard]] std::shared_ptr<WalFlusher> flusher_snapshot() const;
 
   std::string path_;
   vertex_t num_vertices_ = 0;
@@ -222,22 +205,20 @@ class WriteAheadLog {
   std::uint64_t size_ = 0;  ///< logical file size (flushed + staged bytes)
   std::uint64_t prealloc_limit_ = 0;  ///< extent frontier already reserved
 
-  WalEngineKind engine_kind_ = WalEngineKind::kSync;  ///< resolved at open
-  /// Engine completion thread's health handle (tombstoned in stop_engine;
-  /// a fresh one is registered per engine start so the name tracks the
-  /// engine actually running).
-  obs::HealthComponent* engine_heartbeat_ = nullptr;
-  /// Active engine (null in sync mode / during exclusive rewrites). The
-  /// pointer swap is under engine_mu_; cross-thread readers snapshot the
-  /// shared_ptr and never hold engine_mu_ across an engine call that can
-  /// block (stop() runs with engine_mu_ released — its completion thread
-  /// takes engine_mu_ in the durable-callback wrapper).
-  std::shared_ptr<WalCommitEngine> engine_;
-  mutable std::mutex engine_mu_;
-  WalCommitEngine::DurableFn durable_cb_;  ///< under engine_mu_
+  /// Flusher thread's health handle (tombstoned in stop_flusher; a fresh
+  /// one is registered per flusher start).
+  obs::HealthComponent* flusher_heartbeat_ = nullptr;
+  /// Running flusher (null while closed and during exclusive rewrites).
+  /// The pointer swap is under flusher_mu_; cross-thread readers snapshot
+  /// the shared_ptr and never hold flusher_mu_ across a flusher call that
+  /// can block (stop() runs with flusher_mu_ released — the flusher thread
+  /// takes flusher_mu_ in the durable-callback wrapper).
+  std::shared_ptr<WalFlusher> flusher_;
+  mutable std::mutex flusher_mu_;
+  WalFlusher::DurableFn durable_cb_;  ///< under flusher_mu_
   std::atomic<std::uint64_t> staged_lsn_{0};
   std::atomic<std::uint64_t> durable_lsn_{0};
-  /// Counters folded across engine restarts + sync-mode flushes (relaxed:
+  /// Counters folded across flusher restarts + header writes (relaxed:
   /// monotone stats, read by flush_stats from any thread).
   std::atomic<std::uint64_t> acc_flushes_{0};
   std::atomic<std::uint64_t> acc_flushed_bytes_{0};

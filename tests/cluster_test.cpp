@@ -31,7 +31,6 @@
 #include "cluster/router.hpp"
 #include "cluster/shard_group.hpp"
 #include "graph/generators.hpp"
-#include "harness/service_workload.hpp"
 #include "service/kcore_service.hpp"
 #include "util/rng.hpp"
 
@@ -516,30 +515,6 @@ TEST(Cluster, RouterSamplesReadLatency) {
   group.shutdown();
 }
 
-TEST(Cluster, ClusterWorkloadHarnessDrivesRouter) {
-  constexpr vertex_t kN = 800;
-  ClusterConfig cfg;
-  cfg.partitions = 1;
-  cfg.replicas = 1;
-  cfg.base.num_vertices = kN;
-  ShardGroup group(cfg);
-  Router router(group);
-
-  harness::ClusterWorkloadConfig wl;
-  wl.writer_threads = 2;
-  wl.reader_threads = 2;
-  wl.ops_per_thread = 500;
-  wl.seed = 11;
-  const auto result = harness::run_cluster_workload(router, wl);
-  EXPECT_EQ(result.ops_written, 2u * 500u);
-  EXPECT_EQ(result.total_reads * router.num_partitions(),
-            result.primary_reads + result.replica_reads);
-
-  group.quiesce();
-  expect_exact_replica(group.primary(0), group.replica(0, 0));
-  group.shutdown();
-}
-
 TEST(Cluster, ShardGroupRoutesEveryEdgeToExactlyOnePartition) {
   const std::size_t kParts = std::max<std::size_t>(2, test_write_shards());
   constexpr vertex_t kN = 600;
@@ -553,7 +528,9 @@ TEST(Cluster, ShardGroupRoutesEveryEdgeToExactlyOnePartition) {
   std::set<std::uint64_t> distinct;
   for (const Edge& e : edges) {
     if (!e.is_self_loop()) distinct.insert(e.canonical().key());
-    group.submit({e, UpdateKind::kInsert});
+    // submit() reports the partition it routed to: the Partitioner's owner.
+    EXPECT_EQ(group.submit({e, UpdateKind::kInsert}).partition,
+              group.partitioner().partition_of(e));
   }
   group.drain();
 
@@ -881,28 +858,6 @@ TEST(Cluster, ClusterConfigControlsShipperRetentionRing) {
   group.shutdown();
 }
 
-TEST(Cluster, ShardedWorkloadHarnessDrivesWritePlane) {
-  const std::size_t kParts = test_write_shards();
-  ClusterConfig cfg;
-  cfg.partitions = kParts;
-  cfg.base.num_vertices = 800;
-  ShardGroup group(cfg);
-
-  harness::ShardedWorkloadConfig wl;
-  wl.submitter_threads = 2;
-  wl.reader_threads = 2;
-  wl.ops_per_thread = 500;
-  wl.seed = 13;
-  const auto result = harness::run_sharded_workload(group, wl);
-  EXPECT_EQ(result.ops_submitted, 2u * 500u);
-  ASSERT_EQ(result.ops_per_partition.size(), kParts);
-  std::uint64_t routed = 0;
-  for (std::uint64_t ops : result.ops_per_partition) routed += ops;
-  EXPECT_EQ(routed, result.ops_submitted);
-  EXPECT_GT(result.total_reads, 0u);
-  group.shutdown();
-}
-
 TEST(Cluster, BackpressureRejectPolicyBoundsShardQueues) {
   ServiceConfig cfg;
   cfg.num_vertices = 100;
@@ -1184,7 +1139,6 @@ TEST(Cluster, ShipAtDurableReplicasConverge) {
   cfg.base.num_vertices = kN;
   cfg.base.wal_path = wal.str();
   cfg.base.wal_durability = WalDurability::kFdatasync;
-  cfg.base.wal_engine = service::WalEngine::kFlusher;
   cfg.base.ship_at = service::ShipPoint::kDurable;
   cfg.base.min_ops_per_cycle = 16;
   cfg.base.max_ops_per_cycle = 256;

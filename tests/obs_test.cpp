@@ -1,21 +1,29 @@
 // Tests for the flight recorder (src/obs/): metrics registry consistency
 // under concurrent writers, trace ring wraparound and cross-thread
-// ordering, Chrome trace-event JSON well-formedness, and the stats
-// sampler's lifecycle.
+// ordering, Chrome trace-event JSON well-formedness, the stats sampler's
+// lifecycle, and one traced replicated run end to end.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cluster/shard_group.hpp"
+#include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -425,6 +433,82 @@ TEST(Obs, SamplerLifecycleAndOnDemandDump) {
   }
   EXPECT_GE(lines, 2u);
   std::filesystem::remove(path);
+}
+
+TEST(Obs, TracedReplicatedRunCrossesThreadsAndSamples) {
+  // The flight recorder end to end: a 1x1 ShardGroup with a WAL, traced
+  // while it takes a few hundred writes. Some LSN's events must span >= 3
+  // threads (apply -> WAL flusher -> replica apply), and a StatsSampler
+  // over the group's metrics must write timestamped samples.
+#ifdef CPKC_TRACE_DISABLED
+  GTEST_SKIP() << "built with CPKC_TRACE=OFF: no pipeline trace sites";
+#endif
+  const std::filesystem::path dir =
+      temp_path("cpkc_obs_traced_run_") + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string trace_file = (dir / "trace.json").string();
+  const std::string series_file = (dir / "series.jsonl").string();
+
+  obs::trace_clear();
+  obs::trace_set_enabled(true);
+  {
+    obs::MetricsRegistry registry;
+    cluster::ClusterConfig cfg;
+    cfg.partitions = 1;
+    cfg.replicas = 1;
+    cfg.base.num_vertices = 500;
+    cfg.base.wal_path = (dir / "group.wal").string();
+    cfg.base.metrics = &registry;
+    cluster::ShardGroup group(cfg);
+    obs::SamplerOptions opts;
+    opts.path = series_file;
+    opts.interval_ms = 20;
+    opts.registry = &registry;
+    obs::StatsSampler sampler(std::move(opts));
+    for (const Edge& e : gen::erdos_renyi(500, 300, 3)) {
+      group.submit({e, UpdateKind::kInsert});
+    }
+    group.quiesce();
+    sampler.stop();
+    group.shutdown();
+  }
+  obs::trace_set_enabled(false);
+  ASSERT_TRUE(obs::trace_write_chrome_json(trace_file));
+  obs::trace_clear();
+
+  std::ifstream trace_in(trace_file);
+  const std::string json((std::istreambuf_iterator<char>(trace_in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_TRUE(json_well_formed(json));
+  // Each event is {..."tid":T,...,"args":{"lsn":L,...}}; thread-name
+  // metadata has no lsn before its closing "}}".
+  std::map<std::uint64_t, std::set<std::uint64_t>> tids_by_lsn;
+  for (std::size_t pos = json.find("\"tid\":"); pos != std::string::npos;
+       pos = json.find("\"tid\":", pos + 1)) {
+    const std::uint64_t tid = std::strtoull(json.c_str() + pos + 6, nullptr, 10);
+    const std::size_t end = json.find("}}", pos);
+    const std::size_t lsn_pos = json.find("\"lsn\":", pos);
+    if (lsn_pos == std::string::npos || lsn_pos > end) continue;
+    const std::uint64_t lsn =
+        std::strtoull(json.c_str() + lsn_pos + 6, nullptr, 10);
+    if (lsn != 0) tids_by_lsn[lsn].insert(tid);
+  }
+  std::size_t widest = 0;
+  for (const auto& [lsn, tids] : tids_by_lsn) {
+    widest = std::max(widest, tids.size());
+  }
+  EXPECT_GE(widest, 3u) << "no LSN's events cross 3 threads";
+
+  std::ifstream series_in(series_file);
+  std::string line;
+  std::size_t samples = 0;
+  while (std::getline(series_in, line)) {
+    EXPECT_TRUE(json_well_formed(line)) << line;
+    if (line.find("\"ts_ms\":") != std::string::npos) ++samples;
+  }
+  EXPECT_GE(samples, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Obs, SamplerThrowsOnUnopenablePath) {

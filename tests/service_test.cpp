@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -17,7 +18,6 @@
 
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
-#include "harness/service_workload.hpp"
 #include "kcore/peel.hpp"
 #include "service/kcore_service.hpp"
 #include "service/wal.hpp"
@@ -317,6 +317,27 @@ TEST(Service, WalRejectsV3TextMagicAndLeavesFileUntouched) {
   EXPECT_EQ(read_file(wal.str()), before);
 }
 
+TEST(Service, WalCloseAppendsUnflushedTailAfterFlushedRecords) {
+  // close() pushes records appended since the last flush. On a freshly
+  // created log the flusher wrote the flushed records at explicit offsets,
+  // so the tail must land after them, not over them.
+  TempPath wal("close_tail.wal");
+  {
+    WriteAheadLog log;
+    log.open(wal.str(), 50, nullptr);
+    log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}}});
+    log.flush();
+    log.append(2, UpdateBatch{UpdateKind::kInsert, {{2, 3}}});
+    log.close();
+  }
+  std::vector<std::uint64_t> lsns;
+  WriteAheadLog reopened;
+  reopened.open(wal.str(), 50, [&](std::uint64_t lsn, const UpdateBatch&) {
+    lsns.push_back(lsn);
+  });
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2}));
+}
+
 TEST(Service, WalTreatsEmptyFileAsFresh) {
   // A crash inside reset()'s truncate-then-header window leaves a zero-byte
   // file; restart must not be bricked by it.
@@ -499,19 +520,56 @@ TEST(Service, ConcurrentSubmittersAndReadersAllModes) {
   }
   svc.drain();
 
-  harness::ServiceWorkloadConfig wl;
-  wl.submitter_threads = 4;
-  wl.reader_threads = 4;
-  wl.ops_per_thread = 3000;
-  wl.delete_fraction = 0.25;
-  wl.seed = 5;
-  // One run per read mode; all three against the same live service.
+  // One run per read mode, all three against the same live service: 4
+  // submitters insert random edges and delete a quarter of them back while
+  // 4 readers issue random-vertex reads until the submissions drain.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kOpsPerThread = 3000;
   for (ReadMode mode :
        {ReadMode::kCplds, ReadMode::kNonSync, ReadMode::kSyncReads}) {
-    wl.mode = mode;
-    auto result = harness::run_service_workload(svc, wl);
-    EXPECT_EQ(result.ops_submitted, 4u * 3000u);
-    EXPECT_GT(result.total_reads, 0u);
+    std::atomic<bool> stop_readers{false};
+    std::atomic<std::uint64_t> reads{0};
+    std::atomic<std::uint64_t> submitted{0};
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        Xoshiro256 rng(5 * 0x9E3779B97F4A7C15ULL + t + 1);
+        std::uint64_t issued = 0;
+        while (!stop_readers.load(std::memory_order_relaxed)) {
+          const auto v = static_cast<vertex_t>(rng.next_below(kN));
+          (void)svc.read_coreness(v, mode);
+          ++issued;
+        }
+        reads.fetch_add(issued);
+      });
+    }
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t] {
+        Xoshiro256 rng(5 * 0xD1B54A32D192ED03ULL + t + 1);
+        std::vector<Edge> inserted;
+        for (std::size_t i = 0; i < kOpsPerThread; ++i) {
+          if (!inserted.empty() && rng.next_double() < 0.25) {
+            const std::size_t j = rng.next_below(inserted.size());
+            svc.submit({inserted[j], UpdateKind::kDelete});
+            inserted[j] = inserted.back();
+            inserted.pop_back();
+          } else {
+            const Edge e{static_cast<vertex_t>(rng.next_below(kN)),
+                         static_cast<vertex_t>(rng.next_below(kN))};
+            svc.submit({e, UpdateKind::kInsert});
+            if (!e.is_self_loop()) inserted.push_back(e.canonical());
+          }
+          submitted.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (std::thread& th : submitters) th.join();
+    svc.drain();
+    stop_readers.store(true, std::memory_order_relaxed);
+    for (std::thread& th : readers) th.join();
+    EXPECT_EQ(submitted.load(), kThreads * kOpsPerThread);
+    EXPECT_GT(reads.load(), 0u);
   }
   const auto stats = svc.stats();
   EXPECT_EQ(stats.acked_ops, stats.submitted_ops);
@@ -538,33 +596,6 @@ TEST(Service, AdaptiveBatchSizerTracksTarget) {
   EXPECT_GE(sizer.budget(), 16u);  // floor respected
 }
 
-TEST(Service, WalEngineProbeLogsSelection) {
-  // The CI "WAL engine probe" step runs exactly this test and reads its
-  // output: which async engine the kernel supports and what kAuto resolves
-  // to under the leg's CPKC_WAL_ENGINE pin, so every CI log records which
-  // engine its suites actually exercised.
-  const bool uring = service::io_uring_engine_available();
-  const service::WalEngineKind auto_kind =
-      service::resolve_wal_engine(service::WalEngine::kAuto);
-  std::printf("[wal-engine-probe] io_uring=%s resolved(auto)=%s\n",
-              uring ? "available" : "unavailable",
-              service::wal_engine_name(auto_kind));
-  // Explicit pins resolve verbatim (the env override applies only to
-  // kAuto), and an unsupported io_uring request degrades to the flusher —
-  // it never reports an engine the kernel cannot run.
-  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kSync),
-            service::WalEngineKind::kSync);
-  EXPECT_EQ(service::resolve_wal_engine(service::WalEngine::kFlusher),
-            service::WalEngineKind::kFlusher);
-  const service::WalEngineKind uring_kind =
-      service::resolve_wal_engine(service::WalEngine::kIoUring);
-  if (uring) {
-    EXPECT_EQ(uring_kind, service::WalEngineKind::kIoUring);
-  } else {
-    EXPECT_EQ(uring_kind, service::WalEngineKind::kFlusher);
-  }
-}
-
 TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
   // The async engine must not weaken the crash contract at any durability
   // level: every acked op is in the committed prefix the reopen replays.
@@ -579,7 +610,6 @@ TEST(Service, AsyncCrashReplayRestoresAckedOpsAllDurabilities) {
     cfg.num_vertices = kN;
     cfg.wal_path = wal.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     {
       KCoreService svc(cfg);
       std::vector<Ticket> tickets;
@@ -614,7 +644,6 @@ TEST(Service, AckNeverPrecedesDurabilityAtSyncLevels) {
     cfg.num_vertices = kN;
     cfg.wal_path = wal.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     KCoreService svc(cfg);
     const auto edges = gen::erdos_renyi(kN, 600, 9);
     std::vector<Ticket> tickets;
@@ -649,7 +678,6 @@ TEST(Service, AsyncCompactPreservesUnshippedSuffixAllDurabilities) {
     cfg.wal_path = wal.str();
     cfg.snapshot_path = snap.str();
     cfg.wal_durability = level;
-    cfg.wal_engine = service::WalEngine::kFlusher;
     {
       KCoreService svc(cfg);
       for (const Edge& e : phase_a) svc.submit_insert(e.u, e.v);
@@ -678,7 +706,6 @@ TEST(Service, AsyncEngineStatsExposeFlushPipeline) {
   cfg.num_vertices = kN;
   cfg.wal_path = wal.str();
   cfg.wal_durability = WalDurability::kFdatasync;
-  cfg.wal_engine = service::WalEngine::kFlusher;
   KCoreService svc(cfg);
   for (const Edge& e : gen::barabasi_albert(kN, 4, 23)) {
     svc.submit_insert(e.u, e.v);
