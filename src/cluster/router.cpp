@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/health.hpp"
@@ -120,8 +119,8 @@ int Router::pick_backend(std::size_t partition, std::uint64_t min_lsn,
 
 template <typename V, typename MinLsn, typename Combine, typename ReplicaRead,
           typename PrimaryRead>
-Router::Result<V> Router::fan_out(MinLsn min_lsn_for, bool strict,
-                                  Combine combine, ReplicaRead on_replica,
+Router::Result<V> Router::fan_out(MinLsn min_lsn_for, Combine combine,
+                                  ReplicaRead on_replica,
                                   PrimaryRead on_primary) const {
   const bool timed = t_reads_until_timed == 0;
   t_reads_until_timed =
@@ -132,20 +131,11 @@ Router::Result<V> Router::fan_out(MinLsn min_lsn_for, bool strict,
   result.parts.resize(parts_.size());
   for (std::size_t p = 0; p < parts_.size(); ++p) {
     PartRead<V>& part = result.parts[p];
-    const std::uint64_t min_lsn = min_lsn_for(p);
-    part.backend = pick_backend(p, min_lsn, rotation, &part.served_lsn);
     // Session cursors are always serveable (the primary applied every
-    // acked write before its ack became observable), so non-strict reads
-    // take the first pick. An explicit cut can run ahead of the applied
-    // frontier — committed-but-not-yet-applied batches — so strict reads
-    // spin until the apply catches up rather than silently serving older
-    // state. consistent_cut() samples the applied frontier, which is
-    // always serveable; only a hand-built cut past a crashed partition's
-    // final frontier would spin forever.
-    while (strict && part.served_lsn < min_lsn) {
-      std::this_thread::yield();
-      part.backend = pick_backend(p, min_lsn, rotation, &part.served_lsn);
-    }
+    // acked write before its ack became observable), so the first pick
+    // stands.
+    part.backend =
+        pick_backend(p, min_lsn_for(p), rotation, &part.served_lsn);
     if (part.backend == kPrimary) {
       state_[p].primary_reads.add();
       part.value = on_primary(*parts_[p].primary);
@@ -164,7 +154,7 @@ Router::ReadResult Router::read_coreness(const Session& session, vertex_t v,
                                          ReadMode mode) const {
   return fan_out<double>(
       [&](std::size_t p) { return session.last_lsn(p); },
-      /*strict=*/false, [](double a, double b) { return a + b; },
+      [](double a, double b) { return a + b; },
       [&](const Replica& r) { return r.read_coreness(v, mode); },
       [&](const service::KCoreService& s) {
         return s.read_coreness(v, mode);
@@ -175,7 +165,7 @@ Router::LevelResult Router::read_level(const Session& session, vertex_t v,
                                        ReadMode mode) const {
   return fan_out<level_t>(
       [&](std::size_t p) { return session.last_lsn(p); },
-      /*strict=*/false, [](level_t a, level_t b) { return std::max(a, b); },
+      [](level_t a, level_t b) { return std::max(a, b); },
       [&](const Replica& r) { return r.read_level(v, mode); },
       [&](const service::KCoreService& s) { return s.read_level(v, mode); });
 }
@@ -183,7 +173,7 @@ Router::LevelResult Router::read_level(const Session& session, vertex_t v,
 Router::ReadResult Router::read_coreness(vertex_t v, ReadMode mode) const {
   return fan_out<double>(
       [](std::size_t) { return std::uint64_t{0}; },
-      /*strict=*/false, [](double a, double b) { return a + b; },
+      [](double a, double b) { return a + b; },
       [&](const Replica& r) { return r.read_coreness(v, mode); },
       [&](const service::KCoreService& s) {
         return s.read_coreness(v, mode);
@@ -193,37 +183,9 @@ Router::ReadResult Router::read_coreness(vertex_t v, ReadMode mode) const {
 Router::LevelResult Router::read_level(vertex_t v, ReadMode mode) const {
   return fan_out<level_t>(
       [](std::size_t) { return std::uint64_t{0}; },
-      /*strict=*/false, [](level_t a, level_t b) { return std::max(a, b); },
+      [](level_t a, level_t b) { return std::max(a, b); },
       [&](const Replica& r) { return r.read_level(v, mode); },
       [&](const service::KCoreService& s) { return s.read_level(v, mode); });
-}
-
-std::vector<std::uint64_t> Router::consistent_cut() const {
-  // The *applied* frontier, not the committed one: a committed-but-not-
-  // yet-applied LSN is not yet serveable by any backend (the primary
-  // included), so a commit-frontier cut would make every at-cut read spin
-  // out the apply latency. Applied LSNs only grow, so each partition's
-  // primary can always serve its entry immediately.
-  std::vector<std::uint64_t> cut;
-  cut.reserve(parts_.size());
-  for (const PartitionBackends& part : parts_) {
-    cut.push_back(part.primary->applied_lsn());
-  }
-  return cut;
-}
-
-Router::ReadResult Router::read_coreness_at_cut(
-    const std::vector<std::uint64_t>& cut, vertex_t v, ReadMode mode) const {
-  if (cut.size() != parts_.size()) {
-    throw std::invalid_argument("Router: cut width must match partitions");
-  }
-  return fan_out<double>(
-      [&](std::size_t p) { return cut[p]; },
-      /*strict=*/true, [](double a, double b) { return a + b; },
-      [&](const Replica& r) { return r.read_coreness(v, mode); },
-      [&](const service::KCoreService& s) {
-        return s.read_coreness(v, mode);
-      });
 }
 
 void Router::register_metrics(obs::MetricsRegistry* registry,

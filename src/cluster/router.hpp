@@ -200,23 +200,6 @@ class Router {
   [[nodiscard]] LevelResult read_level(
       vertex_t v, ReadMode mode = ReadMode::kCplds) const;
 
-  /// Samples the partitions' *applied* frontier: a vector cut that every
-  /// at-cut read can serve immediately (each partition's primary is
-  /// already at-or-past its entry; applied LSNs only grow).
-  [[nodiscard]] std::vector<std::uint64_t> consistent_cut() const;
-
-  /// Scatter-gather read at an explicit cut: partition p is served by a
-  /// backend whose applied LSN is >= cut[p] — guaranteed, not best-effort:
-  /// if a cut entry runs ahead of the partition's applied frontier
-  /// (committed-but-unapplied batches), the read waits for the apply to
-  /// catch up rather than silently serving older state. Cuts from
-  /// consistent_cut() never wait; a hand-built cut past a crashed
-  /// partition's final frontier never returns. Throws
-  /// std::invalid_argument on a cut width mismatch.
-  [[nodiscard]] ReadResult read_coreness_at_cut(
-      const std::vector<std::uint64_t>& cut, vertex_t v,
-      ReadMode mode = ReadMode::kCplds) const;
-
   // ---------------- inspection ----------------
 
   [[nodiscard]] std::size_t num_partitions() const { return parts_.size(); }
@@ -236,9 +219,8 @@ class Router {
   static constexpr std::uint32_t kReadLatencySampleEvery = 16;
 
   /// Merged histogram of the sampled fan-out reads' end-to-end times,
-  /// whichever backends served them. This is the reader-side health signal
-  /// the cluster feedback loop uses: its p99 feeds
-  /// KCoreService::observe_cluster_feedback via ShardGroup::feed_feedback.
+  /// whichever backends served them. Metrics only: it is exported as
+  /// "<prefix>read_latency_ns" and nothing in the router acts on it.
   [[nodiscard]] LatencyHistogram read_latency() const {
     return read_latency_.merged();
   }
@@ -267,12 +249,10 @@ class Router {
 
   /// The shared fan-out skeleton: for each partition, pick a backend at or
   /// past min_lsn_for(p), read through it, fold the value into the
-  /// combined result. `strict` enforces the floor even when no backend has
-  /// reached it yet (at-cut reads wait; session reads never need to).
-  /// Defined in the .cpp (all instantiations live there).
+  /// combined result. Defined in the .cpp (all instantiations live there).
   template <typename V, typename MinLsn, typename Combine,
             typename ReplicaRead, typename PrimaryRead>
-  Result<V> fan_out(MinLsn min_lsn_for, bool strict, Combine combine,
+  Result<V> fan_out(MinLsn min_lsn_for, Combine combine,
                     ReplicaRead on_replica, PrimaryRead on_primary) const;
 
   Partitioner partitioner_;

@@ -114,8 +114,8 @@ ShardGroup::ShardGroup(ClusterConfig config)
       replicas_[p].back()->start(*shippers_[p]);
     }
   }
-  // Replica-lag probes: sampled on the watchdog thread against the
-  // cluster thresholds (0 = report-only). Tombstoned first in shutdown()
+  // Replica-lag probes: sampled on the watchdog thread, report-only
+  // (no thresholds, so never unhealthy). Tombstoned first in shutdown()
   // — the callbacks walk primaries_/replicas_.
   if (config_.base.health != nullptr && config_.replicas > 0) {
     lag_probes_.reserve(p_count);
@@ -128,8 +128,7 @@ ShardGroup::ShardGroup(ClusterConfig config)
           [this, p]() -> double {
             return static_cast<double>(replica_lag(p));
           },
-          static_cast<double>(config_.replica_lag_degraded),
-          static_cast<double>(config_.replica_lag_stalled)));
+          0.0, 0.0));
     }
   }
   // Cluster-level sources: per-partition shipper + replica stats and the
@@ -178,23 +177,6 @@ ShardGroup::ShardGroup(ClusterConfig config)
                  static_cast<double>(max_replica_lag()));
     });
   }
-  // The closed feedback loop: a quiet sampler (no output file — the
-  // snapshot itself is the product) snapshots the registry every
-  // feedback_interval_ms and hands the router's read-latency p99 plus the
-  // current replica lag to every primary's batch sizer. This is the
-  // periodic driver feed_feedback() always wanted; the p99 reads 0 until
-  // a Router registers its metrics in the same registry.
-  if (config_.base.metrics != nullptr && config_.feedback_interval_ms > 0) {
-    obs::SamplerOptions so;
-    so.quiet = true;
-    so.interval_ms = config_.feedback_interval_ms;
-    so.registry = config_.base.metrics;
-    so.on_sample = [this](const obs::MetricsSnapshot& snap) {
-      const obs::MetricSample* rl = snap.find("router.read_latency_ns");
-      feed_feedback(rl != nullptr ? rl->hist.p99_ns : 0);
-    };
-    feedback_sampler_ = std::make_unique<obs::StatsSampler>(std::move(so));
-  }
 }
 
 ShardGroup::~ShardGroup() { shutdown(); }
@@ -219,15 +201,6 @@ std::vector<std::uint64_t> ShardGroup::commit_cut() const {
   std::vector<std::uint64_t> cut;
   cut.reserve(primaries_.size());
   for (const auto& primary : primaries_) cut.push_back(primary->commit_lsn());
-  return cut;
-}
-
-std::vector<std::uint64_t> ShardGroup::applied_cut() const {
-  std::vector<std::uint64_t> cut;
-  cut.reserve(primaries_.size());
-  for (const auto& primary : primaries_) {
-    cut.push_back(primary->applied_lsn());
-  }
   return cut;
 }
 
@@ -296,12 +269,6 @@ std::uint64_t ShardGroup::max_replica_lag() const {
   return worst;
 }
 
-void ShardGroup::feed_feedback(std::uint64_t read_p99_ns) {
-  for (std::size_t p = 0; p < primaries_.size(); ++p) {
-    primaries_[p]->observe_cluster_feedback(replica_lag(p), read_p99_ns);
-  }
-}
-
 std::size_t ShardGroup::num_edges() const {
   std::size_t total = 0;
   for (const auto& primary : primaries_) total += primary->num_edges();
@@ -326,15 +293,9 @@ std::vector<std::uint64_t> ShardGroup::checkpoint() {
 }
 
 void ShardGroup::shutdown() {
-  // The feedback sampler's on_sample (and the snapshot it rides on) walks
-  // every primary and replica — stop it before any of them goes down.
-  if (feedback_sampler_ != nullptr) {
-    feedback_sampler_->stop();
-    feedback_sampler_.reset();
-  }
-  // Tombstone the lag probes next, for the same reason: unregister()
-  // excludes a concurrent watchdog check, so after this loop no probe
-  // callback can touch a stopping component.
+  // Tombstone the lag probes first: their callbacks walk every primary
+  // and replica, and unregister() excludes a concurrent watchdog check, so
+  // after this loop no probe callback can touch a stopping component.
   if (config_.base.health != nullptr) {
     for (obs::HealthComponent* probe : lag_probes_) {
       config_.base.health->unregister(probe);

@@ -39,7 +39,6 @@
 #include "cluster/partition.hpp"
 #include "cluster/replica.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "service/kcore_service.hpp"
 
 namespace cpkcore::cluster {
@@ -59,26 +58,6 @@ struct ClusterConfig {
   /// the partition's on-disk WAL. Defaults to unbounded, like LogShipper.
   std::size_t retain_records = std::numeric_limits<std::size_t>::max();
 
-  /// Closed-loop feedback cadence: with `base.metrics` set and this
-  /// nonzero, the group runs an internal *quiet* StatsSampler that
-  /// snapshots the registry every feedback_interval_ms and pushes the
-  /// per-partition replica lag plus the router's read-latency p99 (the
-  /// "router.read_latency_ns" sample, once a Router has registered its
-  /// metrics in the same registry) into every primary's adaptive batch
-  /// sizer via feed_feedback(). 0 = no internal driver; callers may still
-  /// call feed_feedback() themselves. Inert toward the budget unless the
-  /// base config's feedback thresholds (max_replica_lag /
-  /// target_read_p99_ns) are set.
-  std::uint64_t feedback_interval_ms = 200;
-
-  /// Replica-lag health probes (records the slowest replica trails its
-  /// partition primary): with `base.health` set and replicas > 0, each
-  /// partition registers a "p<p>.replica_lag" value probe classified
-  /// against these thresholds. 0 disables that classification — the probe
-  /// still reports its value in rollups.
-  std::uint64_t replica_lag_degraded = 0;
-  std::uint64_t replica_lag_stalled = 0;
-
   /// Template ServiceConfig applied to every partition primary.
   /// `num_vertices` is the *global* vertex space (every partition spans
   /// it); `wal_path` and `snapshot_path` are stems — partition p uses
@@ -89,8 +68,11 @@ struct ClusterConfig {
   /// "p<p>.replica<r>.") and adds per-partition replica-lag gauges under
   /// "cluster.". When `base.health` is set, the same "p<p>." scheme names
   /// the health components (apply/WAL-flusher heartbeats, replica apply
-  /// heartbeats "p<p>.replica<r>", lag probes "p<p>.replica_lag"), each
-  /// tagged with its partition id for per-partition rollups.
+  /// heartbeats "p<p>.replica<r>"), each tagged with its partition id for
+  /// per-partition rollups. With replicas > 0 each partition also
+  /// registers a report-only "p<p>.replica_lag" value probe (records the
+  /// slowest replica trails its primary): it shows the lag in rollups and
+  /// never leaves healthy.
   service::ServiceConfig base;
 };
 
@@ -175,9 +157,6 @@ class ShardGroup {
   /// write acked before the sample.
   [[nodiscard]] std::vector<std::uint64_t> commit_cut() const;
 
-  /// Samples the applied frontier of the partition primaries.
-  [[nodiscard]] std::vector<std::uint64_t> applied_cut() const;
-
   /// Blocks until every replica of every partition has applied at least
   /// its partition's cut entry. False if any replica stopped first.
   bool wait_replicas_at(const std::vector<std::uint64_t>& cut) const;
@@ -217,7 +196,7 @@ class ShardGroup {
     return primaries_.front()->num_vertices();
   }
 
-  // ---------------- cluster feedback ----------------
+  // ---------------- replication lag ----------------
 
   /// Records partition p's slowest replica trails its primary's applied
   /// LSN by (0 with no replicas).
@@ -226,15 +205,6 @@ class ShardGroup {
   /// Max of replica_lag(p) over the partitions — the cluster-wide
   /// replication health signal.
   [[nodiscard]] std::uint64_t max_replica_lag() const;
-
-  /// Pushes the current per-partition replica lag plus the caller's read
-  /// p99 (e.g. Router::read_latency().p99_ns(), or 0 when unknown) into
-  /// every primary's adaptive batch sizer (observe_cluster_feedback).
-  /// Driven automatically by the group's internal feedback sampler every
-  /// ClusterConfig::feedback_interval_ms (when metrics are on); exposed
-  /// for callers that want an extra push or run without metrics. No-ops
-  /// toward the budget unless the base config's thresholds are set.
-  void feed_feedback(std::uint64_t read_p99_ns);
 
   // ---------------- lifecycle ----------------
 
@@ -272,9 +242,6 @@ class ShardGroup {
   /// their callbacks walk primaries_/replicas_, so shutdown() tombstones
   /// them before any component stops.
   std::vector<obs::HealthComponent*> lag_probes_;
-  /// Internal feedback driver (quiet sampler, feedback_interval_ms): its
-  /// on_sample walks every component, so shutdown() stops it FIRST.
-  std::unique_ptr<obs::StatsSampler> feedback_sampler_;
   // Declared last: the cluster-level collect callbacks walk every
   // component above, so they must deregister first.
   obs::MetricsGroup metrics_;

@@ -6,9 +6,9 @@
 // busy() when it wakes with work. A watchdog thread classifies each
 // component from its heartbeat age — a parked thread is healthy no matter
 // how old its last beat; a *busy* thread whose beat has aged past the
-// thresholds is degraded, then stalled. Value *probes* (replica lag,
-// staged-vs-durable LSN divergence) classify from a sampled value against
-// per-probe thresholds instead.
+// thresholds is degraded, then stalled. Value *probes* (the cluster's
+// replica lag) classify from a sampled value against per-probe thresholds
+// instead.
 //
 //   apply thread ──beat()/idle()/busy()──▶ Component (atomics, no locks)
 //   shard group ──register_probe(lag_fn)──▶ Component (value thresholds)
@@ -138,8 +138,9 @@ class HealthMonitor {
 
   /// Registers a value probe: `value` is sampled on the watchdog thread
   /// each check and classified against the thresholds (a threshold of 0
-  /// disables that classification — healthy-only probes are legal and are
-  /// how off-by-default lag limits stay inert).
+  /// disables that classification). Report-only probes, both thresholds 0,
+  /// are legal: ShardGroup's "p<p>.replica_lag" probes are one, showing
+  /// the lag in rollups without ever leaving healthy.
   Component* register_probe(std::string name, int partition,
                             std::function<double()> value,
                             double degraded_at, double stalled_at);

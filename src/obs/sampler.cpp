@@ -12,9 +12,7 @@ StatsSampler::StatsSampler(SamplerOptions options)
     options_.registry = &MetricsRegistry::instance();
   }
   if (options_.interval_ms == 0) options_.interval_ms = 1;
-  if (options_.quiet) {
-    out_ = nullptr;
-  } else if (options_.path.empty()) {
+  if (options_.path.empty()) {
     out_ = stdout;
   } else {
     out_ = std::fopen(options_.path.c_str(), "a");
@@ -75,15 +73,11 @@ void StatsSampler::run() {
 }
 
 void StatsSampler::take_sample() {
-  const MetricsSnapshot snap = options_.registry->snapshot();
-  if (out_ != nullptr) {
-    const std::string line = snap.to_json();
-    std::fwrite(line.data(), 1, line.size(), out_);
-    std::fputc('\n', out_);
-    std::fflush(out_);
-  }
+  const std::string line = options_.registry->snapshot().to_json();
+  std::fwrite(line.data(), 1, line.size(), out_);
+  std::fputc('\n', out_);
+  std::fflush(out_);
   samples_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.on_sample) options_.on_sample(snap);
 }
 
 }  // namespace cpkcore::obs

@@ -13,17 +13,12 @@
 //          ▲                            ▲ interval_ms ticks
 //          │                            └ request_sample() (SIGUSR1 hook)
 //          └ components' collect callbacks
-//
-// An optional on_sample callback observes every snapshot on the sampler
-// thread — the hook the cluster layer's feedback loop (replica lag /
-// read p99 into the batch sizer) rides on.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -36,20 +31,12 @@ struct SamplerOptions {
   /// Output file (appended; one JSON object per line). Empty = stdout.
   std::string path;
 
-  /// No output at all: snapshots are taken on schedule and handed to
-  /// on_sample only. This is how ShardGroup runs its internal feedback
-  /// loop — the sampler as a periodic-snapshot driver, not a recorder.
-  bool quiet = false;
-
   /// Sampling period. The sampler wakes every poll tick (min(interval,
   /// 100ms)) to honor request_sample() and stop() promptly.
   std::uint64_t interval_ms = 1000;
 
   /// Registry to sample. Defaults to the process-wide registry.
   MetricsRegistry* registry = nullptr;
-
-  /// Runs on the sampler thread after each snapshot is written.
-  std::function<void(const MetricsSnapshot&)> on_sample;
 };
 
 class StatsSampler {

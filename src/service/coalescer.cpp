@@ -19,27 +19,19 @@ std::vector<UpdateBatch> coalesce_updates(std::vector<Update> ops,
 
 AdaptiveBatchSizer::AdaptiveBatchSizer(std::size_t min_ops,
                                        std::size_t max_ops,
-                                       std::uint64_t target_apply_ns,
-                                       Feedback feedback)
+                                       std::uint64_t target_apply_ns)
     : min_ops_(std::max<std::size_t>(1, min_ops)),
       max_ops_(std::max(max_ops, min_ops_)),
       target_ns_(static_cast<double>(std::max<std::uint64_t>(1, target_apply_ns))),
-      feedback_(feedback),
       budget_(std::clamp<std::size_t>(1024, min_ops_, max_ops_)) {}
 
 void AdaptiveBatchSizer::observe(std::size_t ops, std::uint64_t apply_ns,
-                                 std::uint64_t ack_lag_ns,
-                                 std::uint64_t replica_lag,
-                                 std::uint64_t read_p99_ns) {
+                                 std::uint64_t ack_lag_ns) {
   if (ops == 0) return;
-  // Feedback signals update unconditionally (including toward 0) so the
-  // budget recovers once the pipeline / cluster catches back up.
+  // The ack lag updates unconditionally (including toward 0) so the
+  // budget recovers once the pipeline catches back up.
   ewma_ack_lag_ns_ =
       0.7 * ewma_ack_lag_ns_ + 0.3 * static_cast<double>(ack_lag_ns);
-  ewma_replica_lag_ =
-      0.7 * ewma_replica_lag_ + 0.3 * static_cast<double>(replica_lag);
-  ewma_read_p99_ns_ =
-      0.7 * ewma_read_p99_ns_ + 0.3 * static_cast<double>(read_p99_ns);
   const double per_op =
       static_cast<double>(apply_ns) / static_cast<double>(ops);
   ewma_ns_per_op_ =
@@ -49,23 +41,8 @@ void AdaptiveBatchSizer::observe(std::size_t ops, std::uint64_t apply_ns,
   // waiting on the flush pipeline is time the next cycle's apply cannot
   // spend. Floor at 10% of the target so a badly backed-up pipeline
   // shrinks cycles instead of zeroing them.
-  double avail = std::max(target_ns_ * 0.1, target_ns_ - ewma_ack_lag_ns_);
-  // Cluster backoff: when the slowest replica or the readers fall past
-  // their thresholds, shrink the available budget proportionally to how
-  // far past they are (threshold/actual), floored so the primary never
-  // stops entirely.
-  double scale = 1.0;
-  if (feedback_.max_replica_lag > 0 &&
-      ewma_replica_lag_ > static_cast<double>(feedback_.max_replica_lag)) {
-    scale = std::min(
-        scale, static_cast<double>(feedback_.max_replica_lag) / ewma_replica_lag_);
-  }
-  if (feedback_.target_read_p99_ns > 0 &&
-      ewma_read_p99_ns_ > static_cast<double>(feedback_.target_read_p99_ns)) {
-    scale = std::min(scale, static_cast<double>(feedback_.target_read_p99_ns) /
-                                ewma_read_p99_ns_);
-  }
-  avail *= std::max(scale, 0.125);
+  const double avail =
+      std::max(target_ns_ * 0.1, target_ns_ - ewma_ack_lag_ns_);
   const double ideal = avail / std::max(ewma_ns_per_op_, 1e-3);
   const double capped =
       std::min(ideal, static_cast<double>(budget_) * 2.0);

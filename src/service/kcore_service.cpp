@@ -29,9 +29,7 @@ std::string event_component(const ServiceConfig& config, const char* what) {
 KCoreService::KCoreService(ServiceConfig config)
     : config_(std::move(config)),
       sizer_(config_.min_ops_per_cycle, config_.max_ops_per_cycle,
-             config_.target_apply_ns,
-             AdaptiveBatchSizer::Feedback{config_.max_replica_lag,
-                                          config_.target_read_p99_ns}) {
+             config_.target_apply_ns) {
   namespace fs = std::filesystem;
   // Per-service reclaimer behind the wait-free read path; wired into the
   // CPLDS options so both the warm (snapshot) and cold paths use it.
@@ -96,26 +94,6 @@ KCoreService::KCoreService(ServiceConfig config)
     name += "apply";
     apply_heartbeat_ = config_.health->register_thread(
         std::move(name), config_.health_partition);
-    if (!config_.wal_path.empty() &&
-        (config_.divergence_degraded > 0 || config_.divergence_stalled > 0)) {
-      std::string probe_name = config_.health_prefix;
-      probe_name += "wal_divergence";
-      // Samples on the watchdog thread: both cursors are atomics, and the
-      // probe is tombstoned in stop() before wal_.close() tears the
-      // flusher down.
-      divergence_probe_ = config_.health->register_probe(
-          std::move(probe_name), config_.health_partition,
-          [this]() -> double {
-            const std::uint64_t applied =
-                applied_lsn_.load(std::memory_order_acquire);
-            const std::uint64_t durable = wal_.durable_lsn();
-            return applied > durable
-                       ? static_cast<double>(applied - durable)
-                       : 0.0;
-          },
-          static_cast<double>(config_.divergence_degraded),
-          static_cast<double>(config_.divergence_stalled));
-    }
   }
   apply_thread_ = std::thread([this] { apply_loop(); });
   // Registered after the service is fully constructed; stats() is
@@ -508,15 +486,11 @@ std::size_t KCoreService::run_cycle() {
     cycle_apply_ns += ns;
     batch_ns.push_back(ns);
   }
-  // Feed the sizer every cost signal: the cycle's apply time, the most
-  // recent applied->acked lag, and the cluster feedback (replica lag /
-  // read p99, via observe_cluster_feedback), so the budget backs off when
-  // the durability pipeline, the replicas, or the readers — not the apply —
-  // are the bottleneck.
+  // Feed the sizer the cycle's apply time and the most recent
+  // applied->acked lag, so the budget backs off when the durability
+  // pipeline — not the apply — is the bottleneck.
   sizer_.observe(ops.size(), cycle_apply_ns,
-                 last_ack_lag_ns_.load(std::memory_order_relaxed),
-                 replica_lag_signal_.load(std::memory_order_relaxed),
-                 read_p99_signal_.load(std::memory_order_relaxed));
+                 last_ack_lag_ns_.load(std::memory_order_relaxed));
   if (!lsns.empty()) {
     applied_lsn_.store(lsns.back(), std::memory_order_release);
   }
@@ -779,19 +753,11 @@ void KCoreService::stop(bool drain_first) {
     shards_[s].ack_cv.notify_all();
     shards_[s].space_cv.notify_all();
   }
-  // Tombstone the health components before the WAL closes: the divergence
-  // probe samples wal_.durable_lsn(), and unregister() excludes any
-  // concurrent watchdog check before returning. (The apply thread is
-  // already joined, so its heartbeat handle is quiescent.)
-  if (config_.health != nullptr) {
-    if (divergence_probe_ != nullptr) {
-      config_.health->unregister(divergence_probe_);
-      divergence_probe_ = nullptr;
-    }
-    if (apply_heartbeat_ != nullptr) {
-      config_.health->unregister(apply_heartbeat_);
-      apply_heartbeat_ = nullptr;
-    }
+  // Tombstone the apply heartbeat. (The apply thread is already joined,
+  // so its handle is quiescent.)
+  if (config_.health != nullptr && apply_heartbeat_ != nullptr) {
+    config_.health->unregister(apply_heartbeat_);
+    apply_heartbeat_ = nullptr;
   }
   // Under apply_mu_: a concurrent checkpoint() holds it while compacting
   // the WAL, and WriteAheadLog is not thread-safe. (close() also drains

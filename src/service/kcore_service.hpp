@@ -133,14 +133,6 @@ struct ServiceConfig {
   std::size_t min_ops_per_cycle = 64;
   std::size_t max_ops_per_cycle = 1u << 20;
 
-  /// Cluster-feedback backoff thresholds for the drain budget (0 = trigger
-  /// off). The signals themselves arrive via observe_cluster_feedback() —
-  /// the cluster layer (or any periodic observer) computes max replica lag
-  /// and read p99 and feeds them in; the sizer backs the budget off when
-  /// either exceeds its threshold.
-  std::uint64_t max_replica_lag = 0;     ///< records behind primary apply
-  std::uint64_t target_read_p99_ns = 0;  ///< read-latency p99 ceiling, ns
-
   /// Flight-recorder metrics: when set, the service registers its stats as
   /// a collect source under `metrics_prefix` for the registry's lifetime
   /// overlap with the service (RAII-deregistered on destruction). Null =
@@ -151,18 +143,11 @@ struct ServiceConfig {
   /// Health plane (optional): with a monitor set, the service registers
   /// the apply thread's heartbeat as "<health_prefix>apply" (idle while
   /// parked on the ingest cv, beaten per drain cycle), passes the monitor
-  /// through to the WAL for its flusher-thread heartbeat, and — when the
-  /// divergence thresholds below are nonzero — registers a value probe
-  /// "<health_prefix>wal_divergence" sampling applied_lsn - durable_lsn
-  /// (how far acked-side progress has run ahead of the disk). Null =
-  /// health plane off.
+  /// through to the WAL for its flusher-thread heartbeat. Null = health
+  /// plane off.
   obs::HealthMonitor* health = nullptr;
   std::string health_prefix;  ///< usually "" or "p<p>."
   int health_partition = -1;  ///< partition id for rollups (-1 = none)
-  /// Staged-vs-durable LSN divergence (records) past which the divergence
-  /// probe classifies degraded / stalled; 0 disables that classification.
-  std::uint64_t divergence_degraded = 0;
-  std::uint64_t divergence_stalled = 0;
 };
 
 /// Handle for one submitted op: shard + 1-based per-shard sequence number.
@@ -358,20 +343,6 @@ class KCoreService {
   /// Quiescent-only access (tests, validation).
   [[nodiscard]] const CPLDS& cplds() const { return *ds_; }
 
-  // ---------------- cluster feedback ----------------
-
-  /// Feeds the latest cluster health signals into the adaptive batch
-  /// sizer: `replica_lag` is how many records the slowest replica trails
-  /// this primary's applied LSN, `read_p99_ns` the current read-latency
-  /// p99. Thread-safe (just stores atomics; the apply thread reads them
-  /// each cycle). No-ops toward the budget unless the corresponding
-  /// ServiceConfig threshold is nonzero.
-  void observe_cluster_feedback(std::uint64_t replica_lag,
-                                std::uint64_t read_p99_ns) {
-    replica_lag_signal_.store(replica_lag, std::memory_order_relaxed);
-    read_p99_signal_.store(read_p99_ns, std::memory_order_relaxed);
-  }
-
  private:
   struct PendingOp {
     Update op;
@@ -482,16 +453,11 @@ class KCoreService {
   /// Most recent applied->acked lag (ns), fed to the sizer so the batch
   /// budget backs off when the durability pipeline is the bottleneck.
   std::atomic<std::uint64_t> last_ack_lag_ns_{0};
-  /// Latest cluster feedback (observe_cluster_feedback), read by the apply
-  /// thread each cycle and fed to the sizer alongside the ack lag.
-  std::atomic<std::uint64_t> replica_lag_signal_{0};
-  std::atomic<std::uint64_t> read_p99_signal_{0};
 
   /// Health plane (config_.health != nullptr): the apply thread's
-  /// heartbeat and the staged-vs-durable divergence probe. Tombstoned in
-  /// stop(); the monitor keeps the pointers valid after that.
+  /// heartbeat. Tombstoned in stop(); the monitor keeps the pointer valid
+  /// after that.
   obs::HealthComponent* apply_heartbeat_ = nullptr;
-  obs::HealthComponent* divergence_probe_ = nullptr;
   /// debug_inject_apply_stall: ms the next cycle busy-sleeps (one-shot).
   std::atomic<std::uint64_t> inject_stall_ms_{0};
 

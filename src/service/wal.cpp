@@ -17,6 +17,9 @@ namespace cpkcore::service {
 
 namespace {
 
+/// Extents reserved ahead of the append frontier per fallocate call.
+constexpr std::uint64_t kPreallocateStep = std::uint64_t{4} << 20;
+
 std::uint32_t get_u32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -150,7 +153,7 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   namespace fs = std::filesystem;
   WalOpenInfo info;
   bool created = false;
-  // A crash inside open()/reset()'s truncate-then-write-header window
+  // A crash inside open()'s create-then-write-header window
   // leaves an existing zero-byte file; treat it as fresh rather than
   // bricking every subsequent restart. A *non-empty* file with a bad
   // header still throws — that is corruption (or the wrong file), and
@@ -177,8 +180,8 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
     if (fd_ < 0) throw std::runtime_error("cannot append to WAL: " + path);
   } else {
     // O_APPEND like the reopen path: the flusher pwrites past this fd's
-    // own offset, so a later write through fd_ (close()'s tail push,
-    // reset()'s header after ftruncate) must land at end of file.
+    // own offset, so a later write through fd_ (close()'s tail push) must
+    // land at end of file.
     fd_ = ::open(path_.c_str(),
                  O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
     if (fd_ < 0) throw std::runtime_error("cannot create WAL: " + path);
@@ -299,7 +302,7 @@ void WriteAheadLog::flush() {
     flusher->wait_durable(staged_lsn_.load(std::memory_order_acquire));
     return;
   }
-  // No flusher: open()/reset()/compact() writing with it stopped.
+  // No flusher: open()/compact() writing with it stopped.
   if (!buf_.empty()) {
     ensure_preallocated(buf_.size());
     const std::size_t bytes = buf_.size();
@@ -389,12 +392,10 @@ void WriteAheadLog::sync_parent_dir() const {
 
 void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
 #ifdef __linux__
-  const std::size_t step = options_.preallocate_bytes;
-  if (step == 0) return;
   const std::uint64_t needed = size_ + upcoming;
   if (needed <= prealloc_limit_) return;
   std::uint64_t target = prealloc_limit_;
-  while (target < needed) target += step;
+  while (target < needed) target += kPreallocateStep;
   // Best-effort (not every filesystem supports fallocate): reserving
   // extents ahead of the append frontier keeps block allocation off the
   // group-commit latency path; KEEP_SIZE leaves the logical size — and
@@ -408,29 +409,11 @@ void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
 #endif
 }
 
-void WriteAheadLog::reset(std::uint64_t base_lsn) {
-  if (fd_ < 0) throw std::runtime_error("cannot reset WAL: " + path_);
-  // Exclusive rewrite: drain + stop the flusher so no in-flight write can
-  // land past the truncation point, restart it at the new frontier below.
-  stop_flusher(/*swallow_errors=*/false);
-  if (::ftruncate(fd_, 0) != 0) {
-    throw std::runtime_error("cannot reset WAL: " + path_);
-  }
-  base_lsn_ = base_lsn;
-  buf_.clear();
-  size_ = 0;
-  prealloc_limit_ = 0;
-  append_wal_header_v4(buf_, num_vertices_, base_lsn_);
-  staged_lsn_.store(base_lsn, std::memory_order_relaxed);
-  durable_lsn_.store(base_lsn, std::memory_order_relaxed);
-  flush();
-  if (options_.durability != WalDurability::kOsCache) sync_parent_dir();
-  start_flusher();
-}
-
 void WriteAheadLog::compact(std::uint64_t base_lsn) {
-  // Exclusive rewrite (see reset()): drain + stop the flusher so the slurp
-  // below sees every submitted byte and replace_file swaps a quiet inode.
+  // Exclusive rewrite: drain + stop the flusher so no in-flight write can
+  // land in the old inode, the slurp below sees every submitted byte, and
+  // replace_file swaps a quiet inode. The flusher restarts at the new
+  // frontier below.
   stop_flusher(/*swallow_errors=*/false);
   flush();  // the scan below must see every appended record
   std::vector<unsigned char> image;

@@ -31,13 +31,13 @@
 //              (file length of an append-only log is data, so fdatasync
 //              suffices for the record payload)
 //   kFsync     fsync(2) per group commit — fdatasync plus metadata
-// At those two levels the parent directory is also fsynced on create,
-// reset(), and compact(), so a freshly-created or just-compacted log's
+// At those two levels the parent directory is also fsynced on create and
+// compact(), so a freshly-created or just-compacted log's
 // directory entry itself survives power failure (previously a documented
 // gap: a crash in that window lost the whole file).
 //
 // The segment is preallocated ahead of the append frontier
-// (fallocate FALLOC_FL_KEEP_SIZE, WalOptions::preallocate_bytes per step),
+// (fallocate FALLOC_FL_KEEP_SIZE, in fixed 4 MiB steps),
 // so group commits extend into reserved extents instead of paying block
 // allocation on the latency path; logical file size is unaffected.
 //
@@ -48,8 +48,8 @@
 // wait_durable() bridges the two, and the durable callback fires as the
 // watermark advances. flush() is commit_async() + wait_durable(). The
 // flusher owns its own non-O_APPEND fd and explicit offsets, so the log
-// routes every byte through it; reset()/compact()/close() drain and stop
-// the flusher around their exclusive rewrites and restart it after.
+// routes every byte through it; compact() and close() drain and stop the
+// flusher around their exclusive rewrites (compact() restarts it after).
 #pragma once
 
 #include <atomic>
@@ -73,8 +73,6 @@ namespace cpkcore::service {
 
 struct WalOptions {
   WalDurability durability = WalDurability::kOsCache;
-  /// Preallocation step (bytes) ahead of the append frontier; 0 disables.
-  std::size_t preallocate_bytes = std::size_t{4} << 20;
 
   /// Health plane (optional): with a monitor set, the log registers a
   /// heartbeat component "<health_prefix>wal_flusher" for the flusher
@@ -159,13 +157,8 @@ class WriteAheadLog {
   void set_durable_callback(WalFlusher::DurableFn fn);
 
   /// Flush-pipeline counters, accumulated across flusher restarts
-  /// (compact()/reset()) and including the header writes those make.
+  /// (compact()) and including the header write open() makes.
   [[nodiscard]] WalFlushStats flush_stats() const;
-
-  /// Compaction to empty: truncates the log to a header whose base LSN is
-  /// `base_lsn` (the LSN up to which the logical state has been persisted
-  /// elsewhere — core/snapshot). Subsequent appends start at base_lsn + 1.
-  void reset(std::uint64_t base_lsn);
 
   /// Compaction preserving the suffix: atomically rewrites the log so it
   /// holds exactly the committed records with LSN > `base_lsn` over a
@@ -189,7 +182,7 @@ class WriteAheadLog {
   void sync_parent_dir() const;
   void ensure_preallocated(std::size_t upcoming);
   /// Builds + starts a flusher at the current append frontier (call only
-  /// with no bytes in flight: right after open/reset/compact).
+  /// with no bytes in flight: right after open/compact).
   void start_flusher();
   /// Drains, detaches, and stops the flusher, folding its counters into
   /// the accumulated totals. No-op when none is running.

@@ -27,7 +27,7 @@
 // explicit tracked offsets (Linux ignores pwrite offsets on O_APPEND fds),
 // so it never interleaves with the WriteAheadLog's synchronous fd: the log
 // routes *all* appends through the flusher while one runs, and stops it
-// (draining) around reset()/compact()/close().
+// (draining) around compact()/close().
 //
 // Completion-callback ordering contract: the flusher invokes the durable
 // callback *before* it publishes the new watermark or wakes wait_durable
@@ -97,9 +97,9 @@ class WalFlusher {
   /// Submissions must carry non-decreasing upto_lsn. Never waits for the
   /// disk: this queue is unbounded. What bounds it lies upstream — the
   /// service's admission limit (ServiceConfig::max_pending_per_shard) caps
-  /// how many ops wait to be staged, and its `wal_divergence` health probe
-  /// flags the applied LSN running away from the durable watermark. Throws
-  /// std::runtime_error after a failure.
+  /// how many ops wait to be staged, and its `applied_lsn` and
+  /// `durable_lsn` gauges show the applied LSN running ahead of the durable
+  /// watermark. Throws std::runtime_error after a failure.
   void submit(std::vector<unsigned char> bytes, std::uint64_t upto_lsn);
 
   /// Blocks until the watermark reaches `lsn` (callbacks for it included —

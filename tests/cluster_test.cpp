@@ -424,8 +424,8 @@ TEST(Cluster, RouterRotatesEveryPartitionsReplicasFromOneThread) {
 TEST(Cluster, RouterStatsExactUnderConcurrentReaders) {
   // Serve counters are per-thread stripes and Stats::reads is derived
   // from partition 0's serves, so after the readers join every
-  // partition's serves must add up to exactly the reads made — session,
-  // session-less, level and strict at-cut reads alike.
+  // partition's serves must add up to exactly the reads made — session
+  // and session-less, coreness and level reads alike.
   const std::size_t kParts = test_write_shards();
   const std::size_t kReps = test_replicas();
   constexpr vertex_t kN = 600;
@@ -462,8 +462,7 @@ TEST(Cluster, RouterStatsExactUnderConcurrentReaders) {
           case 0: (void)router.read_coreness(*session, v); break;
           case 1: (void)router.read_coreness(v); break;
           case 2: (void)router.read_level(*session, v); break;
-          default:
-            (void)router.read_coreness_at_cut(router.consistent_cut(), v);
+          default: (void)router.read_level(v);
         }
       }
     });
@@ -764,7 +763,7 @@ TEST(Cluster, PartitionCountOneMatchesUnshardedService) {
   group.shutdown();
 }
 
-TEST(Cluster, ConsistentCutScatterGatherAcrossPartitions) {
+TEST(Cluster, ScatterGatherReadsAndGlobalStatsAcrossPartitions) {
   const std::size_t kParts = test_write_shards();
   constexpr vertex_t kN = 500;
   ClusterConfig cfg;
@@ -777,31 +776,6 @@ TEST(Cluster, ConsistentCutScatterGatherAcrossPartitions) {
   for (const Edge& e : gen::barabasi_albert(kN, 4, 61)) {
     group.submit({e, UpdateKind::kInsert});
   }
-  group.drain();
-
-  // The sampled cut is the committed frontier; at-cut reads must be served
-  // at-or-past it on every partition.
-  const std::vector<std::uint64_t> cut = router.consistent_cut();
-  ASSERT_EQ(cut.size(), kParts);
-  for (vertex_t v = 0; v < kN; v += 31) {
-    const auto read = router.read_coreness_at_cut(cut, v);
-    ASSERT_EQ(read.parts.size(), kParts);
-    double sum = 0;
-    for (std::size_t p = 0; p < kParts; ++p) {
-      EXPECT_GE(read.parts[p].served_lsn, cut[p]);
-      sum += read.parts[p].value;
-    }
-    EXPECT_DOUBLE_EQ(read.value, sum);
-  }
-  EXPECT_THROW(
-      (void)router.read_coreness_at_cut(
-          std::vector<std::uint64_t>(kParts + 1, 0), 0),
-      std::invalid_argument);
-
-  // Strict at-cut reads hold under in-flight writes too: a cut taken from
-  // the *committed* frontier can run ahead of the applied one
-  // (committed-but-unapplied batches), and the read must wait that out
-  // rather than silently serve older state.
   std::thread writer([&] {
     Xoshiro256 rng(99);
     for (std::size_t i = 0; i < 3000; ++i) {
@@ -810,21 +784,24 @@ TEST(Cluster, ConsistentCutScatterGatherAcrossPartitions) {
       group.submit({e, UpdateKind::kInsert});
     }
   });
-  for (vertex_t v = 0; v < 200; ++v) {
-    const std::vector<std::uint64_t> commit_cut = group.commit_cut();
-    const auto read = router.read_coreness_at_cut(commit_cut, v % kN);
-    for (std::size_t p = 0; p < kParts; ++p) {
-      ASSERT_GE(read.parts[p].served_lsn, commit_cut[p]);
-    }
-  }
   writer.join();
   group.drain();
+
+  // A fan-out read serves every partition once and sums their estimates.
+  for (vertex_t v = 0; v < kN; v += 31) {
+    const auto read = router.read_coreness(v);
+    ASSERT_EQ(read.parts.size(), kParts);
+    double sum = 0;
+    for (const auto& part : read.parts) sum += part.value;
+    EXPECT_DOUBLE_EQ(read.value, sum);
+  }
 
   // Global stats gather at a cut sampled before the per-partition figures.
   const auto gs = group.global_stats();
   ASSERT_EQ(gs.cut.size(), kParts);
   ASSERT_EQ(gs.partitions.size(), kParts);
   ASSERT_EQ(gs.shippers.size(), kParts);
+  EXPECT_EQ(gs.cut, group.commit_cut());
   EXPECT_EQ(gs.num_edges, group.num_edges());
   std::uint64_t acked = 0;
   for (const auto& part : gs.partitions) acked += part.acked_ops;

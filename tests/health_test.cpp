@@ -3,7 +3,8 @@
 // stall watchdog (idle-vs-busy semantics, the 3-heartbeat-interval
 // detection bound — deterministic via manual check_now() and end-to-end
 // via an injected apply-thread stall on a live KCoreService), the
-// Router's stalled-replica read gate, and the embedded HTTP exporter
+// Router's stalled-replica read gate, ShardGroup's report-only replica-lag
+// probes, and the embedded HTTP exporter
 // (/metrics Prometheus scrape, /healthz flip to 503 under a stall,
 // /events journal tail).
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "cluster/partition.hpp"
 #include "cluster/replica.hpp"
 #include "cluster/router.hpp"
+#include "cluster/shard_group.hpp"
 #include "obs/event_log.hpp"
 #include "obs/health.hpp"
 #include "obs/http_exporter.hpp"
@@ -328,6 +331,65 @@ TEST(RouterHealthTest, StalledReplicaIsSkipped) {
   r1.stop();
   shipper.detach();
   primary.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// ShardGroup x health: report-only replica-lag probes
+// ---------------------------------------------------------------------------
+
+TEST(ShardGroupHealthTest, ReplicaLagProbesReportLagAndStayHealthy) {
+  HealthMonitorOptions opts;
+  opts.start_thread = false;  // drive check_now() by hand
+  HealthMonitor monitor(opts);
+
+  constexpr std::size_t kParts = 2;
+  cluster::ClusterConfig cfg;
+  cfg.partitions = kParts;
+  cfg.replicas = 2;
+  cfg.base.num_vertices = 200;
+  cfg.base.health = &monitor;
+  cluster::ShardGroup group(cfg);
+  for (vertex_t v = 0; v + 1 < 100; ++v) group.submit_insert(v, v + 1);
+  group.quiesce();
+
+  // Replica 0 of every partition stops, so the writes after it leave it
+  // behind: once the primaries drain, each partition's lag is fixed at the
+  // records that replica missed.
+  for (std::size_t p = 0; p < kParts; ++p) group.replica(p, 0).stop();
+  for (vertex_t v = 100; v + 1 < 200; ++v) group.submit_insert(v, v + 1);
+  group.drain();
+
+  const auto is_lag_probe = [](const HealthMonitor::ComponentStatus& c) {
+    return c.name.ends_with(".replica_lag");
+  };
+  const auto rollup = monitor.check_now();
+  std::size_t probes = 0;
+  for (std::size_t p = 0; p < kParts; ++p) {
+    const std::string name = "p" + std::to_string(p) + ".replica_lag";
+    const std::uint64_t lag = group.replica_lag(p);
+    EXPECT_GT(lag, 0u) << name;
+    std::size_t found = 0;
+    for (const auto& c : rollup.components) {
+      if (c.name != name) continue;
+      ++found;
+      EXPECT_TRUE(c.is_probe);
+      EXPECT_EQ(c.partition, static_cast<int>(p));
+      EXPECT_EQ(c.value, static_cast<double>(lag));
+      EXPECT_EQ(c.state, HealthState::kHealthy) << name;
+    }
+    EXPECT_EQ(found, 1u) << name;
+    probes += found;
+  }
+  EXPECT_EQ(std::count_if(rollup.components.begin(),
+                          rollup.components.end(), is_lag_probe),
+            static_cast<std::ptrdiff_t>(probes));
+
+  // shutdown() tombstones every probe: none is left in the rollup.
+  group.shutdown();
+  const auto after = monitor.check_now();
+  EXPECT_EQ(std::count_if(after.components.begin(), after.components.end(),
+                          is_lag_probe),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -776,64 +776,6 @@ TEST(Service, AdaptiveBatchSizerBacksOffOnAckLag) {
               static_cast<double>(base), static_cast<double>(base) / 2.0);
 }
 
-TEST(Service, AdaptiveBatchSizerBacksOffOnReplicaLag) {
-  service::AdaptiveBatchSizer::Feedback fb;
-  fb.max_replica_lag = 100;  // threshold: >100 records behind is unhealthy
-  service::AdaptiveBatchSizer sizer(16, 8192, /*target_apply_ns=*/1000000,
-                                    fb);
-  for (int i = 0; i < 20; ++i) sizer.observe(sizer.budget(), sizer.budget() * 1000);
-  const std::size_t base = sizer.budget();
-  EXPECT_NEAR(static_cast<double>(base), 1000.0, 200.0);
-  // The slowest replica falls 10x past the threshold: the budget backs
-  // off (scaled by threshold/lag, floored) so the shipper can catch up.
-  for (int i = 0; i < 30; ++i) {
-    sizer.observe(sizer.budget(), sizer.budget() * 1000, /*ack_lag_ns=*/0,
-                  /*replica_lag=*/1000);
-  }
-  EXPECT_LT(sizer.budget(), base / 4);
-  EXPECT_GE(sizer.budget(), 16u);  // floor respected
-  // Replica catches up: lag-free observations decay the EWMA and the
-  // budget recovers.
-  for (int i = 0; i < 30; ++i) sizer.observe(sizer.budget(), sizer.budget() * 1000);
-  EXPECT_NEAR(static_cast<double>(sizer.budget()),
-              static_cast<double>(base), static_cast<double>(base) / 2.0);
-
-  // With the threshold unset (default 0) the same lag signal is ignored.
-  service::AdaptiveBatchSizer no_fb(16, 8192, 1000000);
-  for (int i = 0; i < 20; ++i) no_fb.observe(no_fb.budget(), no_fb.budget() * 1000);
-  const std::size_t no_fb_base = no_fb.budget();
-  for (int i = 0; i < 30; ++i) {
-    no_fb.observe(no_fb.budget(), no_fb.budget() * 1000, 0, 1000);
-  }
-  EXPECT_NEAR(static_cast<double>(no_fb.budget()),
-              static_cast<double>(no_fb_base),
-              static_cast<double>(no_fb_base) / 2.0);
-}
-
-TEST(Service, AdaptiveBatchSizerBacksOffOnReadP99) {
-  service::AdaptiveBatchSizer::Feedback fb;
-  fb.target_read_p99_ns = 1000000;  // readers should see p99 <= 1 ms
-  service::AdaptiveBatchSizer sizer(16, 8192, /*target_apply_ns=*/1000000,
-                                    fb);
-  for (int i = 0; i < 20; ++i) sizer.observe(sizer.budget(), sizer.budget() * 1000);
-  const std::size_t base = sizer.budget();
-  EXPECT_NEAR(static_cast<double>(base), 1000.0, 200.0);
-  // Readers are the bottleneck: observed p99 8x over target -> the drain
-  // budget backs off so apply holds the write lock in shorter bursts.
-  for (int i = 0; i < 30; ++i) {
-    sizer.observe(sizer.budget(), sizer.budget() * 1000, /*ack_lag_ns=*/0,
-                  /*replica_lag=*/0, /*read_p99_ns=*/8000000);
-  }
-  EXPECT_LT(sizer.budget(), base / 4);
-  EXPECT_GE(sizer.budget(), 16u);  // floor respected
-  // Read latency returns under target: the budget recovers.
-  for (int i = 0; i < 30; ++i) {
-    sizer.observe(sizer.budget(), sizer.budget() * 1000, 0, 0, 500000);
-  }
-  EXPECT_NEAR(static_cast<double>(sizer.budget()),
-              static_cast<double>(base), static_cast<double>(base) / 2.0);
-}
-
 TEST(Service, CoalescerSplitsDedupsAndCanonicalizes) {
   std::vector<Update> ops = {
       {{5, 1}, UpdateKind::kInsert}, {{1, 5}, UpdateKind::kInsert},
