@@ -226,11 +226,6 @@ struct Cluster {
     cluster::ClusterConfig cfg;
     cfg.partitions = partitions;
     cfg.replicas = num_replicas;
-    // Every replica subscribes at group construction, before any write,
-    // and no one joins later — so the retention ring can stay small
-    // instead of holding every batch ever committed for the session's
-    // lifetime.
-    cfg.retain_records = 1024;
     cfg.base.num_vertices = n;
     // Register the whole pipeline with the process registry so `metrics`
     // and --metrics-out see it (partition p under "p<p>.", router under

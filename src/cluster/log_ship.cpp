@@ -1,7 +1,5 @@
 #include "cluster/log_ship.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -15,10 +13,8 @@ namespace cpkcore::cluster {
 namespace {
 
 /// Journals one catch-up serving pass: which source fed the subscriber
-/// (the retention ring or the on-disk WAL) and how many records it
-/// served. A replica joining far behind flips between the two as the
-/// ring advances under it — the event stream is how an operator sees
-/// that dance.
+/// (the on-disk WAL, or the splice buffer of records committed while it
+/// replayed the WAL) and how many records it served.
 void emit_catchup(const std::string& component, const char* source,
                   std::uint64_t from_lsn, std::uint64_t records) {
   obs::EventLog::instance().emit(
@@ -30,12 +26,10 @@ void emit_catchup(const std::string& component, const char* source,
 
 }  // namespace
 
-LogShipper::LogShipper(service::KCoreService& primary)
-    : LogShipper(primary, Options()) {}
-
-LogShipper::LogShipper(service::KCoreService& primary, Options options)
+LogShipper::LogShipper(service::KCoreService& primary,
+                       std::string event_component)
     : primary_(primary),
-      options_(options),
+      event_component_(std::move(event_component)),
       wal_path_(primary.config().wal_path),
       num_vertices_(primary.num_vertices()) {
   // set_commit_listener returns the commit LSN as of registration, under
@@ -77,85 +71,49 @@ void LogShipper::on_commit(const service::WalFramePtr& frame) {
     throw std::runtime_error("LogShipper: non-consecutive commit LSN");
   }
   last_lsn_ = lsn;
-  // Retaining the frame is a shared_ptr copy — the encoded bytes the WAL
+  // Buffering the frame is a shared_ptr copy — the encoded bytes the WAL
   // just committed are never duplicated on this path.
   const ShippedRecord record{lsn, frame};
-  retained_.push_back(record);
-  // Evict *after* the push so retain_records = 0 still ships live records
-  // (the ring then only serves subscribers already caught up).
-  while (retained_.size() > options_.retain_records) retained_.pop_front();
-  retained_peak_ = std::max(retained_peak_, retained_.size());
   ++shipped_;
   CPKC_TRACE_INSTANT("ship", lsn, subscribers_.size());
-  for (auto& [id, cb] : subscribers_) {
-    cb(record);
+  for (auto& [id, sub] : subscribers_) {
+    if (sub.live) {
+      sub.callback(record);
+    } else {
+      sub.pending.push_back(record);
+    }
   }
 }
 
 std::uint64_t LogShipper::subscribe(std::uint64_t from_lsn,
                                     Callback callback) {
-  // Largest ring backlog delivered while holding mu_ (and therefore while
-  // stalling the primary's commit path). A bigger backlog is copied out
-  // (shared_ptrs — cheap) and delivered unlocked, then re-checked; the
-  // final splice is always the small-in-lock case, so delivery order is
-  // preserved with a bounded stall.
-  constexpr std::size_t kSpliceChunk = 256;
-  for (;;) {
-    std::unique_lock lock(mu_);
-    // First LSN the ring (plus the live stream) can serve contiguously.
-    const std::uint64_t ring_start =
-        retained_.empty() ? last_lsn_ + 1 : retained_.front().lsn;
-    if (from_lsn + 1 >= ring_start) {
-      std::vector<ShippedRecord> backlog;
-      for (const ShippedRecord& rec : retained_) {
-        if (rec.lsn > from_lsn) backlog.push_back(rec);
-      }
-      if (backlog.size() <= kSpliceChunk) {
-        for (const ShippedRecord& rec : backlog) {
-          callback(rec);
-          ++catchup_;
-        }
-        const std::uint64_t id = next_id_++;
-        subscribers_.emplace(id, std::move(callback));
-        lock.unlock();
-        if (!backlog.empty()) {
-          emit_catchup(options_.event_component, "ring", from_lsn,
-                       backlog.size());
-        }
-        return id;
-      }
-      lock.unlock();
-      emit_catchup(options_.event_component, "ring", from_lsn,
-                   backlog.size());
-      for (const ShippedRecord& rec : backlog) callback(rec);
-      from_lsn = backlog.back().lsn;
-      {
-        std::lock_guard stats_lock(mu_);
-        catchup_ += backlog.size();
-      }
-      continue;
+  std::uint64_t id = 0;
+  std::uint64_t splice_lsn = 0;  // last record the WAL replay must serve
+  {
+    std::lock_guard lock(mu_);
+    id = next_id_++;
+    splice_lsn = last_lsn_;
+    if (from_lsn >= splice_lsn) {
+      subscribers_.emplace(id, Subscriber{std::move(callback), {}, true});
+      return id;
     }
-    // The ring has evicted records the subscriber needs: serve the range
-    // (from_lsn, ring_start) from the on-disk log, outside the lock so the
-    // primary's commit path is not stalled behind file IO. The WAL only
-    // grows meanwhile (checkpoint compaction would raise its base LSN, and
-    // the base check below catches that), so re-checking the ring on the
-    // next iteration closes any window the eviction opened.
-    const std::uint64_t need_below = ring_start;
-    lock.unlock();
     if (wal_path_.empty()) {
       throw std::runtime_error(
-          "LogShipper: subscriber needs records evicted from retention and "
-          "the primary has no WAL to catch up from");
+          "LogShipper: subscriber is behind the live stream and the primary "
+          "has no WAL to catch up from");
     }
-    // With the WAL flusher the ring can be ahead of the disk: a
-    // record enters retention at apply time but its frame may still sit in
-    // the flusher's queue. Wait for the needed prefix to become
-    // durable before scanning, or the scan would legitimately stop at the
-    // not-yet-flushed tail and we would misreport "WAL ends before the
-    // retention ring begins". A false return (flusher failed / service
-    // stopping) falls through — the shortfall checks below surface it.
-    if (need_below > 1) primary_.wait_wal_durable(need_below - 1);
+    // Not yet live: from here on on_commit buffers this joiner's records.
+    subscribers_.emplace(id, Subscriber{});
+  }
+  std::uint64_t from_disk = 0;
+  std::uint64_t buffered = 0;  // records served from the splice buffer
+  try {
+    // The live stream can run ahead of the disk: a record ships at apply
+    // time while its frame may still sit in the WAL flusher's queue. Wait
+    // for the splice prefix to become durable, or the scan would stop at
+    // the not-yet-flushed tail. A false return (flusher failed / service
+    // stopping) falls through — the shortfall check below surfaces it.
+    primary_.wait_wal_durable(splice_lsn);
     std::uint64_t served_upto = from_lsn;
     // scan_wal_frames lifts v4 frames straight off disk — the subscriber
     // receives the identical bytes the live stream carries, with no decode
@@ -164,7 +122,7 @@ std::uint64_t LogShipper::subscribe(std::uint64_t from_lsn,
         wal_path_, num_vertices_,
         [&](const service::WalFramePtr& frame) {
           const std::uint64_t lsn = frame->lsn();
-          if (lsn <= from_lsn || lsn >= need_below) return;
+          if (lsn <= from_lsn || lsn > splice_lsn) return;
           callback(ShippedRecord{lsn, frame});
           served_upto = lsn;
         });
@@ -173,32 +131,46 @@ std::uint64_t LogShipper::subscribe(std::uint64_t from_lsn,
           "LogShipper: records before the WAL base LSN were compacted away; "
           "bootstrap the replica from a snapshot instead");
     }
-    if (served_upto + 1 < need_below) {
+    if (served_upto < splice_lsn) {
       throw std::runtime_error(
-          "LogShipper: WAL ends before the retention ring begins");
+          "LogShipper: WAL ends before the live stream's splice point");
     }
-    {
-      std::lock_guard stats_lock(mu_);
-      const std::uint64_t n = served_upto - from_lsn;
-      catchup_ += n;
-      disk_ += n;
+    from_disk = served_upto - from_lsn;
+    // Drain what the live stream buffered meanwhile, outside the lock, until
+    // a check under the lock finds the buffer empty and flips the entry
+    // live — the next commit then reaches the callback directly.
+    for (;;) {
+      std::vector<ShippedRecord> batch;
+      {
+        std::lock_guard lock(mu_);
+        Subscriber& sub = subscribers_.at(id);
+        if (sub.pending.empty()) {
+          sub.callback = std::move(callback);
+          sub.live = true;
+          catchup_ += from_disk + buffered;
+          disk_ += from_disk;
+          break;
+        }
+        batch.swap(sub.pending);
+      }
+      for (const ShippedRecord& rec : batch) callback(rec);
+      buffered += batch.size();
     }
-    if (served_upto > from_lsn) {
-      emit_catchup(options_.event_component, "disk", from_lsn,
-                   served_upto - from_lsn);
-    }
-    from_lsn = served_upto;
+  } catch (...) {
+    std::lock_guard lock(mu_);
+    subscribers_.erase(id);
+    throw;
   }
+  emit_catchup(event_component_, "disk", from_lsn, from_disk);
+  if (buffered > 0) {
+    emit_catchup(event_component_, "buffer", splice_lsn, buffered);
+  }
+  return id;
 }
 
 void LogShipper::unsubscribe(std::uint64_t id) {
   std::lock_guard lock(mu_);
   subscribers_.erase(id);
-}
-
-std::uint64_t LogShipper::last_shipped_lsn() const {
-  std::lock_guard lock(mu_);
-  return last_lsn_;
 }
 
 LogShipper::Stats LogShipper::stats() const {
@@ -207,9 +179,6 @@ LogShipper::Stats LogShipper::stats() const {
   out.shipped_records = shipped_;
   out.catchup_records = catchup_;
   out.disk_records = disk_;
-  out.retained = retained_.size();
-  out.retained_peak = retained_peak_;
-  out.retain_capacity = options_.retain_records;
   out.subscribers = subscribers_.size();
   return out;
 }

@@ -66,8 +66,8 @@ class Replica {
 
   /// Starts the apply thread and subscribes to the shipper from this
   /// replica's applied LSN (0 for a fresh replica — a late joiner catches
-  /// up through the shipper's ring/WAL path). Throws what subscribe()
-  /// throws; the shipper must outlive this replica's stop().
+  /// up from the primary's on-disk WAL). Throws what subscribe() throws;
+  /// the shipper must outlive this replica's stop().
   void start(LogShipper& shipper);
 
   /// Unsubscribes and joins the apply thread after it finishes the queue

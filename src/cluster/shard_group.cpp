@@ -79,14 +79,11 @@ ShardGroup::ShardGroup(ClusterConfig config)
   }
   shippers_.reserve(p_count);
   for (std::size_t p = 0; p < p_count; ++p) {
-    LogShipper::Options ship_opts;
-    ship_opts.retain_records = config_.retain_records;
     std::string ship_comp = "p";
     ship_comp += std::to_string(p);
     ship_comp += ".ship";
-    ship_opts.event_component = std::move(ship_comp);
     shippers_.push_back(
-        std::make_unique<LogShipper>(*primaries_[p], std::move(ship_opts)));
+        std::make_unique<LogShipper>(*primaries_[p], std::move(ship_comp)));
   }
   replicas_.resize(p_count);
   for (std::size_t p = 0; p < p_count; ++p) {
@@ -109,13 +106,13 @@ ShardGroup::ShardGroup(ClusterConfig config)
             *config_.base.health, std::move(rn), static_cast<int>(p));
       }
       // Fresh replicas subscribe from LSN 0; a primary warm-restarted with
-      // history behind it serves the catch-up from its ring/WAL (or throws
+      // history behind it serves the catch-up from its WAL (or throws
       // "bootstrap from snapshot" if compacted — surfaced to the caller).
       replicas_[p].back()->start(*shippers_[p]);
     }
   }
   // Replica-lag probes: sampled on the watchdog thread, report-only
-  // (no thresholds, so never unhealthy). Tombstoned first in shutdown()
+  // (never unhealthy). Tombstoned first in shutdown()
   // — the callbacks walk primaries_/replicas_.
   if (config_.base.health != nullptr && config_.replicas > 0) {
     lag_probes_.reserve(p_count);
@@ -127,8 +124,7 @@ ShardGroup::ShardGroup(ClusterConfig config)
           std::move(pn), static_cast<int>(p),
           [this, p]() -> double {
             return static_cast<double>(replica_lag(p));
-          },
-          0.0, 0.0));
+          }));
     }
   }
   // Cluster-level sources: per-partition shipper + replica stats and the
@@ -149,7 +145,6 @@ ShardGroup::ShardGroup(ClusterConfig config)
                      static_cast<double>(st.catchup_records));
         sink.counter(pp + "ship.disk_records",
                      static_cast<double>(st.disk_records));
-        sink.gauge(pp + "ship.retained", static_cast<double>(st.retained));
         sink.gauge(pp + "ship.subscribers",
                    static_cast<double>(st.subscribers));
         for (std::size_t r = 0; r < replicas_[p].size(); ++r) {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -51,12 +50,6 @@ struct ClusterConfig {
   /// Read-plane depth R: exact replicas per partition. 0 = no replicas
   /// (reads fall back to the partition primaries).
   std::size_t replicas = 0;
-
-  /// Capacity of each partition's LogShipper in-memory retention ring.
-  /// Bounded topologies (replicas subscribe at construction, no late
-  /// joiners) can keep this small; late joiners past the ring fall back to
-  /// the partition's on-disk WAL. Defaults to unbounded, like LogShipper.
-  std::size_t retain_records = std::numeric_limits<std::size_t>::max();
 
   /// Template ServiceConfig applied to every partition primary.
   /// `num_vertices` is the *global* vertex space (every partition spans
@@ -79,10 +72,9 @@ struct ClusterConfig {
 class ShardGroup {
  public:
   /// Builds every partition primary (cold, or warm from its own
-  /// snapshot/WAL), its log shipper (ring capacity `retain_records`), and
-  /// its `replicas` replicas, already subscribed. Throws what
-  /// KCoreService / LogShipper / Replica construction throws;
-  /// std::invalid_argument for partitions == 0.
+  /// snapshot/WAL), its log shipper, and its `replicas` replicas, already
+  /// subscribed. Throws what KCoreService / LogShipper / Replica
+  /// construction throws; std::invalid_argument for partitions == 0.
   explicit ShardGroup(ClusterConfig config);
   ~ShardGroup();
 
@@ -157,10 +149,6 @@ class ShardGroup {
   /// write acked before the sample.
   [[nodiscard]] std::vector<std::uint64_t> commit_cut() const;
 
-  /// Blocks until every replica of every partition has applied at least
-  /// its partition's cut entry. False if any replica stopped first.
-  bool wait_replicas_at(const std::vector<std::uint64_t>& cut) const;
-
   /// drain() + wait_replicas_at(commit_cut()): on return every backend of
   /// every partition serves the same quiescent state. Returns the cut.
   /// Throws std::runtime_error if a replica stopped before reaching it
@@ -230,6 +218,10 @@ class ShardGroup {
   void shutdown();
 
  private:
+  /// Blocks until every replica of every partition has applied at least
+  /// its partition's cut entry. False if any replica stopped first.
+  bool wait_replicas_at(const std::vector<std::uint64_t>& cut) const;
+
   ClusterConfig config_;
   Partitioner partitioner_;
   // Declaration order is destruction-order-in-reverse: replicas_ destroys

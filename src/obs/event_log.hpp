@@ -2,8 +2,8 @@
 //
 // Metrics answer "how much / how fast"; the event journal answers "what
 // happened and when": discrete state transitions — WAL compaction and
-// durability failures, checkpoint begin/end, replica catch-up source switches,
-// backpressure episodes, apply-thread errors — as structured records
+// durability failures, checkpoint begin/end, replica catch-up sources,
+// apply-thread errors — as structured records
 // (severity, component, name, key/value fields, monotonic seq) instead of
 // printf lines. Events are *rare* by design; the hot path never emits.
 //

@@ -72,15 +72,12 @@ HealthMonitor::Component* HealthMonitor::register_thread(std::string name,
 }
 
 HealthMonitor::Component* HealthMonitor::register_probe(
-    std::string name, int partition, std::function<double()> value,
-    double degraded_at, double stalled_at) {
+    std::string name, int partition, std::function<double()> value) {
   auto c = std::make_unique<Component>();
   c->name_ = std::move(name);
   c->partition_ = partition;
   c->is_probe_ = true;
   c->probe_ = std::move(value);
-  c->degraded_at_ = degraded_at;
-  c->stalled_at_ = stalled_at;
   Component* out = c.get();
   std::lock_guard lock(mu_);
   components_.push_back(std::move(c));
@@ -110,14 +107,9 @@ HealthMonitor::Rollup HealthMonitor::evaluate_locked() {
     status.is_probe = c.is_probe_;
     HealthState state = HealthState::kHealthy;
     if (c.is_probe_) {
-      const double v = c.probe_ ? c.probe_() : 0.0;
-      c.last_value_ = v;
-      status.value = v;
-      if (c.stalled_at_ > 0.0 && v >= c.stalled_at_) {
-        state = HealthState::kStalled;
-      } else if (c.degraded_at_ > 0.0 && v >= c.degraded_at_) {
-        state = HealthState::kDegraded;
-      }
+      // Report-only: the sample shows in the rollup, the state stays
+      // healthy.
+      status.value = c.probe_ ? c.probe_() : 0.0;
     } else {
       const bool idle = c.idle_.load(std::memory_order_relaxed);
       const std::uint64_t beat =
@@ -155,8 +147,7 @@ HealthMonitor::Rollup HealthMonitor::check_now() {
     std::string name;
     int partition;
     HealthState from, to;
-    double detail;  ///< beat age ms (thread) or sampled value (probe)
-    bool is_probe;
+    double beat_age_ms;
   };
   std::vector<Transition> transitions;
   Rollup out;
@@ -169,19 +160,20 @@ HealthMonitor::Rollup HealthMonitor::check_now() {
       before.emplace_back(cp.get(), cp->state());
     }
     out = evaluate_locked();
+    // Only thread components change state (probes are report-only).
     for (const auto& [c, prior] : before) {
       if (!c->active_.load(std::memory_order_acquire)) continue;
       const HealthState now_state = c->state();
       if (now_state == prior) continue;
-      double detail = 0.0;
+      double age_ms = 0.0;
       for (const ComponentStatus& s : out.components) {
         if (s.name == c->name_) {
-          detail = c->is_probe_ ? s.value : s.beat_age_ms;
+          age_ms = s.beat_age_ms;
           break;
         }
       }
       transitions.push_back(
-          {c->name_, c->partition_, prior, now_state, detail, c->is_probe_});
+          {c->name_, c->partition_, prior, now_state, age_ms});
     }
     last_rollup_ = out;
   }
@@ -197,7 +189,7 @@ HealthMonitor::Rollup HealthMonitor::check_now() {
     EventLog::Fields fields = {
         {"from", health_state_name(t.from)},
         {"to", health_state_name(t.to)},
-        {t.is_probe ? "value" : "beat_age_ms", format_value(t.detail)},
+        {"beat_age_ms", format_value(t.beat_age_ms)},
     };
     if (t.partition >= 0) {
       fields.emplace_back("partition", std::to_string(t.partition));

@@ -7,11 +7,11 @@
 // component from its heartbeat age — a parked thread is healthy no matter
 // how old its last beat; a *busy* thread whose beat has aged past the
 // thresholds is degraded, then stalled. Value *probes* (the cluster's
-// replica lag) classify from a sampled value against per-probe thresholds
-// instead.
+// replica lag) are report-only: the watchdog samples them into the rollup,
+// and they always read healthy.
 //
 //   apply thread ──beat()/idle()/busy()──▶ Component (atomics, no locks)
-//   shard group ──register_probe(lag_fn)──▶ Component (value thresholds)
+//   shard group ──register_probe(lag_fn)──▶ Component (sampled value)
 //                                              │ watchdog thread
 //                                              ▼ (check every interval/2)
 //        rollup(): overall + per-partition + per-component states
@@ -112,13 +112,10 @@ class HealthComponent {
   int partition_ = -1;  ///< -1 = cluster-wide / unpartitioned
   bool is_probe_ = false;
   std::function<double()> probe_;  ///< under monitor mu_ (probe only)
-  double degraded_at_ = 0.0;
-  double stalled_at_ = 0.0;
   std::atomic<std::uint64_t> last_beat_ns_{0};
   std::atomic<bool> idle_{true};
   std::atomic<int> state_{0};  ///< cached HealthState
   std::atomic<bool> active_{true};
-  double last_value_ = 0.0;  ///< last probe sample, under monitor mu_
 };
 
 class HealthMonitor {
@@ -136,14 +133,12 @@ class HealthMonitor {
   /// stays valid for the monitor's lifetime; unregister() tombstones it.
   Component* register_thread(std::string name, int partition = -1);
 
-  /// Registers a value probe: `value` is sampled on the watchdog thread
-  /// each check and classified against the thresholds (a threshold of 0
-  /// disables that classification). Report-only probes, both thresholds 0,
-  /// are legal: ShardGroup's "p<p>.replica_lag" probes are one, showing
-  /// the lag in rollups without ever leaving healthy.
+  /// Registers a report-only value probe: `value` is sampled on the
+  /// watchdog thread each check and shown in the rollup
+  /// (ComponentStatus::value); the probe always reads healthy.
+  /// ShardGroup's "p<p>.replica_lag" probes show the replica lag this way.
   Component* register_probe(std::string name, int partition,
-                            std::function<double()> value,
-                            double degraded_at, double stalled_at);
+                            std::function<double()> value);
 
   /// Tombstones: excluded from rollups, probe callback never runs again
   /// after return, pointer stays valid (reads as inactive/healthy).
@@ -188,8 +183,6 @@ class HealthMonitor {
  private:
   void run();
   Rollup evaluate_locked();
-  void emit_transition(const Component& c, HealthState from, HealthState to,
-                       double age_ms_or_value);
 
   Options options_;
 

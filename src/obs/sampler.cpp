@@ -30,9 +30,6 @@ StatsSampler::~StatsSampler() { stop(); }
 void StatsSampler::stop() {
   {
     std::lock_guard lock(mu_);
-    if (stop_requested_) {
-      // Already stopped (or stopping on another thread): just join below.
-    }
     stop_requested_ = true;
   }
   cv_.notify_all();

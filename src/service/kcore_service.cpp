@@ -107,9 +107,6 @@ KCoreService::KCoreService(ServiceConfig config)
       sink.counter("applied_edges", static_cast<double>(st.applied_edges));
       sink.counter("batches", static_cast<double>(st.batches));
       sink.counter("cycles", static_cast<double>(st.cycles));
-      sink.counter("rejected_ops", static_cast<double>(st.rejected_ops));
-      sink.counter("blocked_submits",
-                   static_cast<double>(st.blocked_submits));
       sink.counter("wal_flushes", static_cast<double>(st.wal_flushes));
       sink.counter("wal_flush_bytes",
                    static_cast<double>(st.wal_flush_bytes));
@@ -163,35 +160,7 @@ Ticket KCoreService::submit(Update op) {
   const std::uint64_t t0 = now_ns();
   std::uint64_t seq = 0;
   {
-    std::unique_lock lock(shard.mu);
-    if (const std::size_t bound = config_.max_pending_per_shard;
-        bound > 0 && shard.pending.size() >= bound) {
-      if (config_.admission == AdmissionPolicy::kReject) {
-        rejected_ops_.fetch_add(1, std::memory_order_relaxed);
-        // Journaled (rate-limited per component by the EventLog — a
-        // rejection storm costs at most the burst per window, and the
-        // next admitted event carries the suppressed count).
-        obs::EventLog::instance().emit(
-            obs::Severity::kWarn, event_component(config_, "service"),
-            "backpressure_reject",
-            {{"shard", std::to_string(s)},
-             {"depth", std::to_string(shard.pending.size())}});
-        throw QueueFullError("KCoreService: ingest shard full");
-      }
-      blocked_submits_.fetch_add(1, std::memory_order_relaxed);
-      obs::EventLog::instance().emit(
-          obs::Severity::kInfo, event_component(config_, "service"),
-          "backpressure_block",
-          {{"shard", std::to_string(s)},
-           {"depth", std::to_string(shard.pending.size())}});
-      shard.space_cv.wait(lock, [&] {
-        return shard.pending.size() < bound ||
-               stopped_.load(std::memory_order_seq_cst);
-      });
-      if (stopped_.load(std::memory_order_seq_cst)) {
-        throw std::runtime_error("KCoreService: submit after shutdown");
-      }
-    }
+    std::lock_guard lock(shard.mu);
     seq = ++shard.submitted;
     shard.pending.push_back(PendingOp{op, t0});
     // Inside shard.mu so a drain (which takes the same mutex) can never
@@ -346,7 +315,6 @@ void KCoreService::apply_loop() {
       for (std::size_t s = 0; s < num_shards_; ++s) {
         std::lock_guard lock(shards_[s].mu);
         shards_[s].ack_cv.notify_all();
-        shards_[s].space_cv.notify_all();
       }
       return;
     }
@@ -394,7 +362,6 @@ std::size_t KCoreService::run_cycle() {
     shard.drained += take;
     drains.push_back(PendingCycle::ShardCut{s, shard.drained});
     budget -= take;
-    if (config_.max_pending_per_shard > 0) shard.space_cv.notify_all();
   }
   if (ops.empty()) return 0;
   pending_ops_.fetch_sub(ops.size(), std::memory_order_seq_cst);
@@ -644,7 +611,6 @@ void KCoreService::fail_from_durability(const std::string& what) {
   for (std::size_t s = 0; s < num_shards_; ++s) {
     std::lock_guard lock(shards_[s].mu);
     shards_[s].ack_cv.notify_all();
-    shards_[s].space_cv.notify_all();
   }
 }
 
@@ -725,12 +691,6 @@ void KCoreService::stop(bool drain_first) {
     if (!drain_first) crash_requested_ = true;
   }
   ingest_cv_.notify_all();
-  // Submitters blocked on backpressure must wake to observe the stop (the
-  // final drain also frees space, but a crash-stop drains nothing).
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    std::lock_guard lock(shards_[s].mu);
-    shards_[s].space_cv.notify_all();
-  }
   if (apply_thread_.joinable()) apply_thread_.join();
   if (drain_first) {
     // Graceful shutdown must not set dead_ (releasing waiters with
@@ -751,7 +711,6 @@ void KCoreService::stop(bool drain_first) {
   for (std::size_t s = 0; s < num_shards_; ++s) {
     std::lock_guard lock(shards_[s].mu);
     shards_[s].ack_cv.notify_all();
-    shards_[s].space_cv.notify_all();
   }
   // Tombstone the apply heartbeat. (The apply thread is already joined,
   // so its handle is quiescent.)
@@ -775,8 +734,6 @@ ServiceStats KCoreService::stats() const {
     out = stats_;
   }
   out.submitted_ops = submitted_ops_.load(std::memory_order_relaxed);
-  out.rejected_ops = rejected_ops_.load(std::memory_order_relaxed);
-  out.blocked_submits = blocked_submits_.load(std::memory_order_relaxed);
   out.commit_lsn = commit_lsn_.load(std::memory_order_acquire);
   out.applied_lsn = applied_lsn_.load(std::memory_order_acquire);
   out.durable_lsn = durable_lsn();
@@ -805,8 +762,6 @@ void KCoreService::reset_stats() {
   stats_ = ServiceStats{};
   stats_.batch_budget = budget;
   submitted_ops_.store(0, std::memory_order_relaxed);
-  rejected_ops_.store(0, std::memory_order_relaxed);
-  blocked_submits_.store(0, std::memory_order_relaxed);
   const WalFlushStats fs = wal_.flush_stats();
   flush_baseline_.store(fs.flushes, std::memory_order_relaxed);
   flush_bytes_baseline_.store(fs.flushed_bytes, std::memory_order_relaxed);

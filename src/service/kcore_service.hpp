@@ -13,8 +13,8 @@
 //    edge ops; each op lands in a shard chosen by its edge key (so all ops
 //    on one edge share a shard and keep their submission order) and returns
 //    a Ticket that can be waited on for "applied" acknowledgment. Shards
-//    may be bounded (max_pending_per_shard) with a block-or-reject
-//    admission policy; per-shard queue depths are exposed in ServiceStats.
+//    are unbounded; per-shard queue depths are exposed in ServiceStats
+//    (and the shard_depth_max gauge) so a backlog is visible.
 //  * Coalescing: a single background apply thread drains the shards —
 //    bounded by an adaptive op budget targeting a configured apply latency —
 //    and canonicalizes the stream into deduplicated homogeneous batches.
@@ -81,19 +81,6 @@
 
 namespace cpkcore::service {
 
-/// What submit() does when its shard is at max_pending_per_shard.
-enum class AdmissionPolicy {
-  kBlock,   ///< wait for the apply thread to drain space
-  kReject,  ///< throw QueueFullError immediately
-};
-
-/// Thrown by submit() under AdmissionPolicy::kReject when the op's shard
-/// queue is full. Callers may retry later; nothing was enqueued.
-class QueueFullError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// When committed batches are handed to the commit listener (the cluster
 /// layer's log shipper). kApplied (the default, PR 6 behavior) ships as
 /// soon as the cycle is staged — replicas track the primary's apply and may
@@ -115,10 +102,6 @@ struct ServiceConfig {
 
   /// Ingest shards. More shards = less submit contention.
   std::size_t num_shards = 8;
-
-  /// Backpressure: max ops queued per ingest shard; 0 = unbounded.
-  std::size_t max_pending_per_shard = 0;
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
 
   /// Durability. Empty path = feature off.
   std::string wal_path;
@@ -164,8 +147,6 @@ struct ServiceStats {
   std::uint64_t batches = 0;         ///< homogeneous batches applied
   std::uint64_t cycles = 0;          ///< drain cycles (= group commits)
   std::uint64_t replayed_batches = 0;  ///< WAL batches replayed at startup
-  std::uint64_t rejected_ops = 0;    ///< submits refused by kReject
-  std::uint64_t blocked_submits = 0;  ///< submits that waited under kBlock
   std::uint64_t commit_lsn = 0;      ///< last group-committed LSN
   std::uint64_t applied_lsn = 0;     ///< last LSN applied to the CPLDS
   std::uint64_t durable_lsn = 0;     ///< WAL durable watermark
@@ -213,10 +194,9 @@ class KCoreService {
 
   // ---------------- ingest ----------------
 
-  /// Thread-safe. Throws std::out_of_range for invalid vertex ids,
-  /// std::runtime_error once the service has stopped, and QueueFullError
-  /// when the op's shard is full under AdmissionPolicy::kReject (under
-  /// kBlock it waits for space instead).
+  /// Thread-safe; never blocks on queue depth (shards are unbounded).
+  /// Throws std::out_of_range for invalid vertex ids and
+  /// std::runtime_error once the service has stopped.
   Ticket submit(Update op);
   Ticket submit_insert(vertex_t u, vertex_t v) {
     return submit({{u, v}, UpdateKind::kInsert});
@@ -319,8 +299,8 @@ class KCoreService {
   /// Maintenance/test hook: holds the apply thread between drain cycles
   /// (submits keep queueing, reads keep serving). When pause_applies()
   /// returns, no further ops will be drained until resume_applies();
-  /// shutdown()/simulate_crash() override a pause. Used by the
-  /// backpressure tests to make queue growth deterministic.
+  /// shutdown()/simulate_crash() override a pause. Tests use it to make
+  /// queue growth and batching deterministic.
   void pause_applies();
   void resume_applies();
 
@@ -352,7 +332,6 @@ class KCoreService {
   struct alignas(kCacheLine) Shard {
     std::mutex mu;
     std::condition_variable ack_cv;
-    std::condition_variable space_cv;  // backpressure: waits for drain space
     // Deque, not vector: drains erase a prefix each cycle, which must stay
     // O(taken) under backlog, not O(backlog).
     std::deque<PendingOp> pending;      // ops not yet drained (under mu)
@@ -464,8 +443,6 @@ class KCoreService {
   mutable std::mutex stats_mu_;
   ServiceStats stats_;  // guarded by stats_mu_ (atomic counters kept aside)
   std::atomic<std::uint64_t> submitted_ops_{0};
-  std::atomic<std::uint64_t> rejected_ops_{0};
-  std::atomic<std::uint64_t> blocked_submits_{0};
   /// flush_stats() totals as of the last reset_stats(), so stats() reports
   /// per-phase flush counts like every other counter.
   std::atomic<std::uint64_t> flush_baseline_{0};

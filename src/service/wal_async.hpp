@@ -95,9 +95,8 @@ class WalFlusher {
   /// Queues one commit: `bytes` (moved — the encode-once buffer, never
   /// copied again) covering every record up to and including `upto_lsn`.
   /// Submissions must carry non-decreasing upto_lsn. Never waits for the
-  /// disk: this queue is unbounded. What bounds it lies upstream — the
-  /// service's admission limit (ServiceConfig::max_pending_per_shard) caps
-  /// how many ops wait to be staged, and its `applied_lsn` and
+  /// disk: this queue is unbounded. The service stages one commit per
+  /// drain cycle, and its `wal_flush_depth`, `applied_lsn` and
   /// `durable_lsn` gauges show the applied LSN running ahead of the durable
   /// watermark. Throws std::runtime_error after a failure.
   void submit(std::vector<unsigned char> bytes, std::uint64_t upto_lsn);

@@ -3,7 +3,7 @@
 // exactly once, and the *same bytes* then flow to
 //
 //   - the primary's on-disk WAL (append is a buffered memcpy),
-//   - the LogShipper's in-memory retention ring (shared_ptr, no copy),
+//   - the LogShipper's live fan-out (shared_ptr, no copy),
 //   - late-joiner catch-up (frames are lifted off disk without decoding),
 //   - every replica, which decodes the payload exactly once on its own
 //     apply thread.
@@ -49,7 +49,7 @@ inline constexpr char kWalMagicV4[] = "cpkc-wal-v4";
 /// was decoded back into a batch. The encode-once pipeline tests pin their
 /// acceptance criterion on these: one encode per committed batch end to
 /// end, one decode per (replica x record) / per replayed record — and zero
-/// re-encodes anywhere between the primary WAL, the retention ring, disk
+/// re-encodes anywhere between the primary WAL, live shipping, disk
 /// catch-up, and replica apply.
 struct WalCodecCounters {
   std::uint64_t encoded_frames = 0;

@@ -1,12 +1,12 @@
 // Cluster-layer tests: WAL log shipping, exact read replicas, idle apply
-// threads freeing retired views, late-joiner
-// catch-up (ring and on-disk paths), the sharded write plane (Partitioner,
-// ShardGroup, per-partition replica bit-equivalence), the shard-aware
-// router's cross-partition read-your-writes guarantee under concurrent
-// writers + readers, its per-thread replica rotation, exact serve counts
-// and sampled read latency, the P=1 regression guard against the unsharded
-// topology, ingest backpressure (block and reject admission), WAL
-// durability levels, and LSN continuity across checkpoint + restart.
+// threads freeing retired views, late-joiner catch-up from the on-disk WAL
+// and its splice into the live stream, the sharded write plane
+// (Partitioner, ShardGroup, per-partition replica bit-equivalence), the
+// shard-aware router's cross-partition read-your-writes guarantee under
+// concurrent writers + readers, its per-thread replica rotation, exact
+// serve counts and sampled read latency, the P=1 regression guard against
+// the unsharded topology, the per-shard queue-depth gauge, WAL durability
+// levels, and LSN continuity across checkpoint + restart.
 //
 // Sharded topologies default to 2 partitions x 2 replicas; CI's sharded
 // TSan leg pins that via CPKC_TEST_WRITE_SHARDS / CPKC_TEST_REPLICAS.
@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -43,9 +44,7 @@ using cluster::Partitioner;
 using cluster::Replica;
 using cluster::Router;
 using cluster::ShardGroup;
-using service::AdmissionPolicy;
 using service::KCoreService;
-using service::QueueFullError;
 using service::ServiceConfig;
 using service::Ticket;
 using service::WalDurability;
@@ -178,41 +177,78 @@ TEST(Cluster, IdleApplyThreadsFreeRetiredViews) {
   primary.shutdown();
 }
 
-TEST(Cluster, LateJoinerCatchesUpThroughRetentionRing) {
-  constexpr vertex_t kN = 500;
+TEST(Cluster, LateJoinerWithoutWalThrows) {
+  // The shipper keeps no copy of shipped records: with no WAL behind the
+  // primary, a joiner that missed any record cannot catch up and must
+  // bootstrap from a snapshot instead.
   ServiceConfig cfg;
-  cfg.num_vertices = kN;
-  cfg.min_ops_per_cycle = 8;
-  cfg.max_ops_per_cycle = 64;
+  cfg.num_vertices = 100;
   KCoreService primary(cfg);
-  LogShipper shipper(primary);  // unbounded retention, no WAL needed
-
-  auto edges = gen::erdos_renyi(kN, 3000, 23);
-  const std::size_t half = edges.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    primary.submit_insert(edges[i].u, edges[i].v);
-  }
+  LogShipper shipper(primary);
+  for (vertex_t v = 0; v + 1 < 20; ++v) primary.submit_insert(v, v + 1);
   primary.drain();
+  ASSERT_GT(primary.commit_lsn(), 0u);
 
-  // Joins after half the stream: everything missed comes from the ring.
   Replica late(cfg);
-  late.start(shipper);
-  for (std::size_t i = half; i < edges.size(); ++i) {
-    primary.submit_insert(edges[i].u, edges[i].v);
-  }
-  primary.drain();
-  ASSERT_TRUE(late.wait_for_lsn(primary.commit_lsn()));
-  expect_exact_replica(primary, late);
-  EXPECT_GT(shipper.stats().catchup_records, 0u);
-  late.stop();
+  EXPECT_THROW(late.start(shipper), std::runtime_error);
+  EXPECT_EQ(shipper.stats().subscribers, 0u);
   primary.shutdown();
 }
 
+TEST(Cluster, CatchupSplicesWritesCommittedDuringDiskReplay) {
+  // Deterministic splice: the joiner's catch-up callback commits kLate more
+  // records on the primary as soon as it sees its first disk record (no
+  // shipper lock is held during catch-up, so this cannot deadlock). Those
+  // records are past the WAL replay's splice point, so they can only reach
+  // the joiner through its splice buffer. The delivered LSNs must be
+  // gapless and strictly increasing through the primary's final commit.
+  TempPath wal("splice.wal");
+  ServiceConfig cfg;
+  cfg.num_vertices = 300;
+  cfg.wal_path = wal.str();
+  KCoreService primary(cfg);
+  LogShipper shipper(primary);
+  for (vertex_t v = 0; v + 1 < 40; ++v) {
+    primary.submit_insert(v, v + 1);
+    primary.drain();  // one commit each
+  }
+  const std::uint64_t before_join = primary.commit_lsn();
+  ASSERT_GT(before_join, 0u);
+
+  constexpr vertex_t kLate = 5;
+  std::mutex mu;  // the last record arrives live, on the apply thread
+  std::vector<std::uint64_t> lsns;
+  shipper.subscribe(0, [&](const cluster::ShippedRecord& rec) {
+    std::unique_lock lock(mu);
+    lsns.push_back(rec.lsn);
+    if (lsns.size() > 1) return;
+    lock.unlock();
+    for (vertex_t i = 0; i < kLate; ++i) {
+      primary.submit_insert(100 + i, 200 + i);
+      primary.drain();
+    }
+  });
+  const LogShipper::Stats st = shipper.stats();
+  EXPECT_EQ(st.disk_records, before_join);
+  EXPECT_GE(st.catchup_records - st.disk_records, kLate);
+  EXPECT_EQ(st.catchup_records, primary.commit_lsn());
+
+  // Live from here on: the next commit arrives once, right after the rest.
+  primary.submit_insert(250, 251);
+  primary.drain();
+  primary.shutdown();
+  std::lock_guard lock(mu);
+  ASSERT_EQ(lsns.size(), primary.commit_lsn());
+  for (std::size_t i = 0; i < lsns.size(); ++i) {
+    ASSERT_EQ(lsns[i], i + 1) << "gap or duplicate at position " << i;
+  }
+}
+
 TEST(Cluster, LateJoinerCatchesUpFromDiskUnderConcurrentWrites) {
-  // The satellite's convergence test: a replica joins mid-stream while
-  // writers keep going, with a retention ring so small that catch-up MUST
-  // read the primary's on-disk WAL; after quiesce it is exact under all
-  // three ReadModes (expect_exact_replica checks them all).
+  // A replica joins mid-stream while writers keep going: catch-up reads
+  // the primary's on-disk WAL and splices into the live stream; after
+  // quiesce it is exact under all three ReadModes (expect_exact_replica
+  // checks them all).
   TempPath wal("latejoin.wal");
   constexpr vertex_t kN = 600;
   ServiceConfig cfg;
@@ -221,9 +257,7 @@ TEST(Cluster, LateJoinerCatchesUpFromDiskUnderConcurrentWrites) {
   cfg.min_ops_per_cycle = 4;
   cfg.max_ops_per_cycle = 32;
   KCoreService primary(cfg);
-  LogShipper::Options ship_opts;
-  ship_opts.retain_records = 4;  // force the disk path
-  LogShipper shipper(primary, ship_opts);
+  LogShipper shipper(primary);
 
   auto edges = gen::social(kN, 5, 4, 40, 0.9, 29);
   const std::size_t half = edges.size() / 2;
@@ -244,9 +278,7 @@ TEST(Cluster, LateJoinerCatchesUpFromDiskUnderConcurrentWrites) {
   primary.drain();
   ASSERT_TRUE(late.wait_for_lsn(primary.commit_lsn()));
   expect_exact_replica(primary, late);
-  EXPECT_GT(shipper.stats().disk_records, 0u)
-      << "retention ring was large enough to bypass the WAL; the disk "
-         "catch-up path went untested";
+  EXPECT_GT(shipper.stats().disk_records, 0u);
   late.stop();
   primary.shutdown();
 }
@@ -263,13 +295,12 @@ TEST(Cluster, SubscribePastCompactionDemandsSnapshotBootstrap) {
   primary.drain();
   primary.checkpoint();  // WAL truncated; base LSN > 0
 
-  LogShipper::Options ship_opts;
-  ship_opts.retain_records = 0;  // nothing in the ring either
-  LogShipper shipper(primary, ship_opts);
+  LogShipper shipper(primary);
   for (vertex_t v = 100; v + 1 < 120; ++v) primary.submit_insert(v, v + 1);
   primary.drain();
   Replica fresh(cfg);
   EXPECT_THROW(fresh.start(shipper), std::runtime_error);
+  EXPECT_EQ(shipper.stats().subscribers, 0u);  // the failed joiner is gone
   primary.shutdown();
 }
 
@@ -599,7 +630,12 @@ TEST(Cluster, ShardedReplicasBitIdenticalPerPartitionAfterQuiesce) {
   group.quiesce();
 
   for (std::size_t p = 0; p < kParts; ++p) {
-    EXPECT_GT(group.shipper(p).stats().shipped_records, 0u);
+    // Replicas subscribed before the first commit: they rode the live
+    // stream, and no record was served through catch-up.
+    const LogShipper::Stats st = group.shipper(p).stats();
+    EXPECT_GT(st.shipped_records, 0u);
+    EXPECT_EQ(st.subscribers, kReps);
+    EXPECT_EQ(st.catchup_records, 0u);
     for (std::size_t r = 0; r < kReps; ++r) {
       expect_exact_replica(group.primary(p), group.replica(p, r));
     }
@@ -809,110 +845,25 @@ TEST(Cluster, ScatterGatherReadsAndGlobalStatsAcrossPartitions) {
   group.shutdown();
 }
 
-TEST(Cluster, ClusterConfigControlsShipperRetentionRing) {
-  const std::size_t kParts = test_write_shards();
-  ClusterConfig cfg;
-  cfg.partitions = kParts;
-  cfg.replicas = 1;
-  cfg.retain_records = 4;  // plumbed through to every partition's shipper
-  cfg.base.num_vertices = 300;
-  cfg.base.min_ops_per_cycle = 4;
-  cfg.base.max_ops_per_cycle = 16;  // several commits per partition
-  ShardGroup group(cfg);
-
-  for (vertex_t v = 0; v + 1 < 300; ++v) group.submit_insert(v, v + 1);
-  group.quiesce();
-
-  for (std::size_t p = 0; p < kParts; ++p) {
-    const LogShipper::Stats stats = group.shipper(p).stats();
-    EXPECT_EQ(stats.retain_capacity, 4u);
-    EXPECT_LE(stats.retained, 4u);
-    EXPECT_LE(stats.retained_peak, 4u);
-    EXPECT_GT(stats.retained_peak, 0u);
-    EXPECT_GT(stats.shipped_records, 0u);
-    EXPECT_EQ(stats.subscribers, 1u);
-  }
-  group.shutdown();
-}
-
-TEST(Cluster, BackpressureRejectPolicyBoundsShardQueues) {
+TEST(Cluster, ShardDepthsGaugeReadsFrozenBacklog) {
   ServiceConfig cfg;
   cfg.num_vertices = 100;
   cfg.num_shards = 1;
-  cfg.max_pending_per_shard = 8;
-  cfg.admission = AdmissionPolicy::kReject;
   KCoreService svc(cfg);
   svc.pause_applies();  // freeze drains so queue growth is deterministic
-
   std::vector<Ticket> accepted;
   for (vertex_t v = 0; v < 8; ++v) {
     accepted.push_back(svc.submit_insert(v, v + 1));
   }
-  EXPECT_THROW(svc.submit_insert(50, 51), QueueFullError);
   auto stats = svc.stats();
-  EXPECT_EQ(stats.rejected_ops, 1u);
   ASSERT_EQ(stats.shard_depths.size(), 1u);
-  EXPECT_EQ(stats.shard_depths[0], 8u);  // gauge reads the frozen backlog
+  EXPECT_EQ(stats.shard_depths[0], 8u);
 
   svc.resume_applies();
   for (const Ticket& t : accepted) EXPECT_TRUE(svc.wait(t));
   EXPECT_EQ(svc.stats().shard_depths[0], 0u);
   EXPECT_EQ(svc.num_edges(), 8u);
   svc.shutdown();
-}
-
-TEST(Cluster, BackpressureBlockPolicyWaitsForSpaceAndCompletes) {
-  ServiceConfig cfg;
-  cfg.num_vertices = 100;
-  cfg.num_shards = 1;
-  cfg.max_pending_per_shard = 4;
-  cfg.admission = AdmissionPolicy::kBlock;
-  KCoreService svc(cfg);
-  svc.pause_applies();
-
-  for (vertex_t v = 0; v < 4; ++v) svc.submit_insert(v, v + 1);
-  std::atomic<bool> overflow_accepted{false};
-  std::thread blocked([&] {
-    svc.submit_insert(60, 61);  // must block: shard is at its bound
-    overflow_accepted.store(true, std::memory_order_release);
-  });
-  // The submitter is parked, not rejected, and the bound holds.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(overflow_accepted.load(std::memory_order_acquire));
-  EXPECT_EQ(svc.stats().shard_depths[0], 4u);
-
-  svc.resume_applies();
-  blocked.join();
-  EXPECT_TRUE(overflow_accepted.load());
-  svc.drain();
-  EXPECT_EQ(svc.num_edges(), 5u);
-  const auto stats = svc.stats();
-  EXPECT_GE(stats.blocked_submits, 1u);
-  EXPECT_EQ(stats.rejected_ops, 0u);
-  svc.shutdown();
-}
-
-TEST(Cluster, BlockedSubmitterWakesOnShutdown) {
-  ServiceConfig cfg;
-  cfg.num_vertices = 100;
-  cfg.num_shards = 1;
-  cfg.max_pending_per_shard = 2;
-  KCoreService svc(cfg);
-  svc.pause_applies();
-  svc.submit_insert(1, 2);
-  svc.submit_insert(2, 3);
-  std::atomic<bool> threw{false};
-  std::thread blocked([&] {
-    try {
-      svc.submit_insert(3, 4);
-    } catch (const std::runtime_error&) {
-      threw.store(true, std::memory_order_release);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  svc.simulate_crash();  // crash-stop drains nothing: the waiter must wake
-  blocked.join();
-  EXPECT_TRUE(threw.load());
 }
 
 TEST(Cluster, WalDurabilityLevelsReplayIdentically) {
@@ -997,11 +948,11 @@ TEST(Cluster, UnsubscribedReplicaStopsReceiving) {
 }
 
 TEST(Cluster, EncodeOncePipelineCountsCodecInvocations) {
-  // The PR's acceptance criterion, measured: with a binary WAL, a shipper
-  // ring small enough to force disk catch-up, and two replicas consuming
-  // the committed stream, the codec encodes each batch exactly once (on
-  // the primary's apply thread) and decodes it exactly once per replica —
-  // nothing between the group commit and replica apply re-serializes.
+  // Encode-once, measured: with a binary WAL, one replica on the live
+  // stream and one late joiner caught up from disk, the codec encodes each
+  // batch exactly once (on the primary's apply thread) and decodes it
+  // exactly once per replica — nothing between the group commit and
+  // replica apply re-serializes.
   TempPath wal("encodeonce.wal");
   constexpr vertex_t kN = 400;
   ServiceConfig cfg;
@@ -1012,9 +963,7 @@ TEST(Cluster, EncodeOncePipelineCountsCodecInvocations) {
   KCoreService primary(cfg);
   service::reset_wal_codec_counters();
 
-  LogShipper::Options ship_opts;
-  ship_opts.retain_records = 4;  // late joiners must hit the disk path
-  LogShipper shipper(primary, ship_opts);
+  LogShipper shipper(primary);
   Replica live(cfg);
   live.start(shipper);  // rides the live stream from LSN 0
 
@@ -1034,8 +983,7 @@ TEST(Cluster, EncodeOncePipelineCountsCodecInvocations) {
   primary.drain();
   ASSERT_TRUE(live.wait_for_lsn(primary.commit_lsn()));
   ASSERT_TRUE(late.wait_for_lsn(primary.commit_lsn()));
-  EXPECT_GT(shipper.stats().disk_records, 0u)
-      << "ring served everything; the disk path went unmeasured";
+  EXPECT_GT(shipper.stats().disk_records, 0u);
   expect_exact_replica(primary, live);
   expect_exact_replica(primary, late);
 
@@ -1044,7 +992,7 @@ TEST(Cluster, EncodeOncePipelineCountsCodecInvocations) {
   ASSERT_GT(records, 0u);
   const auto counters = service::wal_codec_counters();
   EXPECT_EQ(counters.encoded_frames, records)
-      << "a consumer re-encoded: WAL append, ring retention, and disk "
+      << "a consumer re-encoded: WAL append, live shipping, and disk "
          "catch-up must all reuse the apply thread's single encode";
   EXPECT_EQ(counters.decoded_batches, 2 * records)
       << "each of the 2 replicas must decode each record exactly once";
@@ -1053,11 +1001,12 @@ TEST(Cluster, EncodeOncePipelineCountsCodecInvocations) {
   primary.shutdown();
 }
 
-TEST(Cluster, RingAndDiskCatchupShipIdenticalFrameBytes) {
+TEST(Cluster, LiveAndCatchupShipIdenticalFrameBytes) {
   // Replicas must decode the *same bytes* no matter which path delivered
-  // them. Capture every shipped frame once through the retention ring and
-  // once through pure disk catch-up (retain_records = 0), and compare both
-  // bit-for-bit against each other and against the frames on disk.
+  // them. Capture every shipped frame once through the live stream (a
+  // subscriber from LSN 0, before any commit) and once through disk
+  // catch-up (a joiner after the last commit), and compare both
+  // bit-for-bit against the frames on disk.
   TempPath wal("bitident.wal");
   constexpr vertex_t kN = 300;
   ServiceConfig cfg;
@@ -1066,41 +1015,39 @@ TEST(Cluster, RingAndDiskCatchupShipIdenticalFrameBytes) {
   cfg.min_ops_per_cycle = 4;
   cfg.max_ops_per_cycle = 32;
   KCoreService primary(cfg);
+  LogShipper shipper(primary);
 
-  std::map<std::uint64_t, std::vector<unsigned char>> ring_bytes;
-  std::map<std::uint64_t, std::vector<unsigned char>> disk_bytes;
-  {
-    LogShipper shipper(primary);  // unbounded ring: catch-up stays in memory
-    for (const Edge& e : gen::barabasi_albert(kN, 4, 61)) {
-      primary.submit_insert(e.u, e.v);
-    }
-    primary.drain();
-    const std::uint64_t sub = shipper.subscribe(
-        0, [&](const cluster::ShippedRecord& rec) {
-          ring_bytes.emplace(rec.lsn, rec.frame->bytes());
-        });
-    shipper.unsubscribe(sub);
+  std::mutex mu;
+  std::map<std::uint64_t, std::vector<unsigned char>> live_bytes;
+  const std::uint64_t live = shipper.subscribe(
+      0, [&](const cluster::ShippedRecord& rec) {
+        std::lock_guard lock(mu);
+        live_bytes.emplace(rec.lsn, rec.frame->bytes());
+      });
+  for (const Edge& e : gen::barabasi_albert(kN, 4, 61)) {
+    primary.submit_insert(e.u, e.v);
   }
-  {
-    LogShipper::Options opts;
-    opts.retain_records = 0;  // ring keeps nothing: catch-up must hit disk
-    LogShipper shipper(primary, opts);
-    const std::uint64_t sub = shipper.subscribe(
-        0, [&](const cluster::ShippedRecord& rec) {
-          disk_bytes.emplace(rec.lsn, rec.frame->bytes());
-        });
-    shipper.unsubscribe(sub);
-  }
-  ASSERT_FALSE(ring_bytes.empty());
-  EXPECT_EQ(ring_bytes, disk_bytes);
+  primary.drain();
+  std::map<std::uint64_t, std::vector<unsigned char>> catchup_bytes;
+  const std::uint64_t late = shipper.subscribe(
+      0, [&](const cluster::ShippedRecord& rec) {
+        catchup_bytes.emplace(rec.lsn, rec.frame->bytes());
+      });
+  shipper.unsubscribe(late);
+  shipper.unsubscribe(live);
+  EXPECT_EQ(shipper.stats().disk_records, primary.commit_lsn());
 
   std::map<std::uint64_t, std::vector<unsigned char>> wal_bytes;
   service::scan_wal_frames(cfg.wal_path, kN,
                            [&](const service::WalFramePtr& frame) {
                              wal_bytes.emplace(frame->lsn(), frame->bytes());
                            });
-  EXPECT_EQ(ring_bytes, wal_bytes);
+  ASSERT_FALSE(wal_bytes.empty());
+  EXPECT_EQ(wal_bytes.size(), primary.commit_lsn());
   primary.shutdown();
+  std::lock_guard lock(mu);
+  EXPECT_EQ(live_bytes, wal_bytes);
+  EXPECT_EQ(catchup_bytes, wal_bytes);
 }
 
 TEST(Cluster, ShipAtDurableReplicasConverge) {

@@ -186,26 +186,31 @@ TEST(HealthMonitorTest, DeterministicStallAndRecovery) {
   EXPECT_NE(json.find("\"to\":\"healthy\""), std::string::npos);
 }
 
-TEST(HealthMonitorTest, ProbeThresholdsClassify) {
+TEST(HealthMonitorTest, ProbesReportValueAndStayHealthy) {
   HealthMonitorOptions opts;
   opts.start_thread = false;
   HealthMonitor monitor(opts);
   double value = 0.0;
-  auto* probe = monitor.register_probe(
-      "lag", /*partition=*/-1, [&] { return value; },
-      /*degraded_at=*/10.0, /*stalled_at=*/100.0);
-  EXPECT_EQ(monitor.check_now().overall, HealthState::kHealthy);
-  value = 50.0;
-  EXPECT_EQ(monitor.check_now().overall, HealthState::kDegraded);
-  value = 200.0;
-  EXPECT_EQ(monitor.check_now().overall, HealthState::kStalled);
-  value = 0.0;
-  EXPECT_EQ(monitor.check_now().overall, HealthState::kHealthy);
+  auto* probe = monitor.register_probe("lag", /*partition=*/-1,
+                                       [&] { return value; });
+  for (const double v : {0.0, 50.0, 1e9, 0.0}) {
+    value = v;
+    const auto rollup = monitor.check_now();
+    EXPECT_EQ(rollup.overall, HealthState::kHealthy);
+    ASSERT_EQ(rollup.components.size(), 1u);
+    EXPECT_TRUE(rollup.components[0].is_probe);
+    EXPECT_EQ(rollup.components[0].value, v);
+    EXPECT_EQ(rollup.components[0].state, HealthState::kHealthy);
+    EXPECT_EQ(probe->state(), HealthState::kHealthy);
+  }
   monitor.unregister(probe);
   // Tombstoned: excluded from rollups, pointer still readable.
   value = 200.0;
-  EXPECT_EQ(monitor.check_now().overall, HealthState::kHealthy);
+  const auto rollup = monitor.check_now();
+  EXPECT_EQ(rollup.overall, HealthState::kHealthy);
+  EXPECT_TRUE(rollup.components.empty());
   EXPECT_FALSE(probe->active());
+  EXPECT_EQ(probe->name(), "lag");
 }
 
 // The end-to-end bound the ISSUE pins: an injected apply-thread stall on a
