@@ -179,7 +179,7 @@ void PLDS::insertion_rebalance(std::vector<vertex_t> dirty) {
           out.push_back(NeighborMove{w, v, lmin, lmin + 1});
         }
       });
-      // Neighbors staying at lmin drop from v's `up` into down[lmin].
+      // Neighbors staying at lmin drop from v's `up` into a down level lmin.
       buckets_[v].on_my_level_up(lmin, [&](vertex_t w) {
         return moving_stamp_[w] != step && level_relaxed(w) == lmin;
       });
@@ -239,13 +239,9 @@ void PLDS::insertion_rebalance(std::vector<vertex_t> dirty) {
 }
 
 level_t PLDS::desire_level(vertex_t v) const {
-  const level_t current = level_relaxed(v);
-  std::size_t cnt = buckets_[v].up_degree();
-  for (level_t d = current; d >= 1; --d) {
-    cnt += buckets_[v].down_size(d - 1);  // cnt = #neighbors at >= d-1
-    if (params_.inv2_ok(d, cnt)) return d;
-  }
-  return 0;
+  return buckets_[v].desire_level(
+      level_relaxed(v),
+      [&](level_t d, std::size_t cnt) { return params_.inv2_ok(d, cnt); });
 }
 
 void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
@@ -301,7 +297,7 @@ void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
         if (moving_stamp_[w] == step) return;
         out.push_back(NeighborMove{w, v, old_level, target});
       });
-      // Own restructure: down[target..old_level) merges into `up`.
+      // Own restructure: down levels [target, old_level) merge into `up`.
       buckets_[v].on_my_level_down(old_level, target);
     },
     /*grain=*/1);
@@ -369,6 +365,12 @@ void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
     }
     pending = std::move(next);
   }
+}
+
+std::size_t PLDS::bucket_bytes() const {
+  std::size_t bytes = buckets_.size() * sizeof(VertexBuckets);
+  for (const auto& b : buckets_) bytes += b.heap_bytes();
+  return bytes;
 }
 
 bool PLDS::validate(std::string* why) const {

@@ -103,6 +103,10 @@ class PLDS {
     return {moved_list_.data(), moved_count_.load(std::memory_order_acquire)};
   }
 
+  /// Bytes the level buckets take: per vertex, the VertexBuckets object and
+  /// the heap it owns. Quiescent use only.
+  [[nodiscard]] std::size_t bucket_bytes() const;
+
   /// Test hook: checks bucket/level consistency and both invariants for
   /// every vertex. On failure returns false and, if `why` is non-null,
   /// stores a description.

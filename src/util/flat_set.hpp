@@ -1,7 +1,6 @@
 // Open-addressing hash set for integer keys with linear probing and
 // backward-shift deletion (no tombstones). The default-constructed set holds
-// no allocation, which matters for the PLDS level buckets: a vertex at level
-// L owns L bucket sets, almost all of which stay empty.
+// no allocation.
 #pragma once
 
 #include <cassert>
@@ -63,12 +62,6 @@ class FlatSet {
       i = next(i);
     }
     return false;
-  }
-
-  void clear() {
-    slots_.clear();
-    slots_.shrink_to_fit();
-    size_ = 0;
   }
 
   /// Invokes f(key) for each element (unspecified order).

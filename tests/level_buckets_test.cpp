@@ -3,13 +3,15 @@
 // neighbor inserts/erases at all relative levels, neighbor moves, own
 // rises (with co-movers staying in `up`), own drops (bucket merge), and a
 // randomized consistency check against a reference model.
+// First include: the header must compile on its own.
+#include "plds/level_buckets.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <set>
 
-#include "plds/level_buckets.hpp"
 #include "util/rng.hpp"
 
 namespace cpkcore {
@@ -17,7 +19,7 @@ namespace {
 
 TEST(VertexBuckets, InsertPlacesByRelativeLevel) {
   VertexBuckets b;
-  // Owner at level 3: neighbors below go into down[their level], others up.
+  // Owner at level 3: neighbors below go into their level's set, others up.
   b.insert_neighbor(10, 0, 3);
   b.insert_neighbor(11, 2, 3);
   b.insert_neighbor(12, 3, 3);
@@ -91,7 +93,7 @@ TEST(VertexBuckets, OwnLevelDownMergesBuckets) {
   b.insert_neighbor(4, 4, 5);
   b.insert_neighbor(5, 6, 5);
   b.on_my_level_down(5, 2);
-  // New level 2: up = neighbors at >= 2 (four of them), down[0] keeps 1.
+  // New level 2: up = neighbors at >= 2 (four of them), level 0 keeps 1.
   EXPECT_EQ(b.up_degree(), 4u);
   EXPECT_EQ(b.down_size(0), 1u);
   EXPECT_EQ(b.down_size(2), 0u);
@@ -116,14 +118,19 @@ TEST(VertexBuckets, ForEachNeighborVisitsAllWithBucketLevels) {
 
 TEST(VertexBuckets, RandomizedAgainstReferenceModel) {
   // Model: owner level + map neighbor -> level. Apply random ops to both
-  // and compare counts/membership.
+  // and compare every read against the model.
   Xoshiro256 rng(77);
   VertexBuckets b;
   level_t my_level = 0;
   std::map<vertex_t, level_t> ref;
+  auto ref_at_or_above = [&](level_t j) {
+    std::size_t c = 0;
+    for (const auto& [w, lw] : ref) c += (lw >= j) ? 1 : 0;
+    return c;
+  };
 
   for (int step = 0; step < 20000; ++step) {
-    const int op = static_cast<int>(rng.next_below(5));
+    const int op = static_cast<int>(rng.next_below(7));
     if (op == 0 || ref.empty()) {  // insert new neighbor
       const auto w = static_cast<vertex_t>(rng.next_below(500));
       if (ref.contains(w)) continue;
@@ -146,32 +153,76 @@ TEST(VertexBuckets, RandomizedAgainstReferenceModel) {
         return ref[w] == my_level;  // same-level neighbors stay behind
       });
       ++my_level;
-    } else if (op == 4 && my_level > 0) {  // own drop to random lower
+    } else if (op == 4 && my_level > 0 && rng.next_below(2) == 0) {
+      // own drop to a random lower level
       const auto to = static_cast<level_t>(rng.next_below(
           static_cast<std::uint64_t>(my_level)));
       b.on_my_level_down(my_level, to);
       my_level = to;
+    } else if (op == 5 && my_level > 0 && rng.next_below(4) == 0) {
+      b.on_my_level_down(my_level, 0);  // own drop to the bottom
+      my_level = 0;
+    } else if (op == 6) {  // erase every neighbor at the top down level
+      level_t top = -1;
+      for (const auto& [w, lw] : ref) {
+        if (lw < my_level) top = std::max(top, lw);
+      }
+      std::erase_if(ref, [&](const auto& e) {
+        if (e.second != top) return false;
+        b.erase_neighbor(e.first, e.second, my_level);
+        return true;
+      });
     }
 
-    if (step % 500 == 0) {
-      ASSERT_EQ(b.degree(), ref.size()) << step;
-      std::size_t expect_up = 0;
-      for (const auto& [w, lw] : ref) {
-        expect_up += (lw >= my_level) ? 1 : 0;
-        ASSERT_TRUE(b.contains(w, lw, my_level)) << step << " w=" << w;
-      }
-      ASSERT_EQ(b.up_degree(), expect_up) << step;
-      for (level_t j = 0; j <= my_level; ++j) {
-        std::size_t expect = 0;
-        for (const auto& [w, lw] : ref) {
-          expect += (lw >= j) ? 1 : 0;
-        }
-        if (j < my_level || j == my_level) {
-          ASSERT_EQ(b.count_at_or_above(j, my_level), expect)
-              << step << " j=" << j;
-        }
+    if (step % 50 != 0) continue;
+    ASSERT_EQ(b.degree(), ref.size()) << step;
+    std::map<vertex_t, level_t> labels;
+    b.for_each_neighbor(my_level, [&](vertex_t w, level_t bucket) {
+      ASSERT_TRUE(labels.emplace(w, bucket).second) << step << " w=" << w;
+    });
+    ASSERT_EQ(labels.size(), ref.size()) << step;
+    std::set<level_t> down_levels;
+    for (const auto& [w, lw] : ref) {
+      ASSERT_TRUE(b.contains(w, lw, my_level)) << step << " w=" << w;
+      ASSERT_EQ(labels[w], std::min(lw, my_level)) << step << " w=" << w;
+      if (lw < my_level) down_levels.insert(lw);
+    }
+    // One stored set per non-empty level: no empty level is kept.
+    ASSERT_EQ(b.num_down_levels(), down_levels.size()) << step;
+    ASSERT_EQ(b.up_degree(), ref_at_or_above(my_level)) << step;
+    for (level_t j = 0; j <= my_level; ++j) {
+      ASSERT_EQ(b.count_at_or_above(j, my_level), ref_at_or_above(j))
+          << step << " j=" << j;
+      if (j < my_level) {
+        ASSERT_EQ(b.down_size(j), ref_at_or_above(j) - ref_at_or_above(j + 1))
+            << step << " j=" << j;
       }
     }
+    const auto lo = static_cast<level_t>(
+        rng.next_below(static_cast<std::uint64_t>(my_level) + 1));
+    const auto hi = static_cast<level_t>(
+        lo + rng.next_below(static_cast<std::uint64_t>(my_level - lo) + 1));
+    std::set<vertex_t> in_range;
+    b.for_each_down_range(lo, hi, [&](vertex_t w) {
+      ASSERT_TRUE(in_range.insert(w).second) << step << " w=" << w;
+    });
+    std::set<vertex_t> expect_range;
+    for (const auto& [w, lw] : ref) {
+      if (lw >= lo && lw < hi) expect_range.insert(w);
+    }
+    ASSERT_EQ(in_range, expect_range) << step << " [" << lo << ", " << hi
+                                      << ")";
+    // The desire walk against a per-level loop, under random thresholds.
+    std::vector<std::size_t> need(static_cast<std::size_t>(my_level) + 1);
+    for (auto& t : need) t = rng.next_below(ref.size() + 2);
+    auto ok = [&](level_t d, std::size_t cnt) {
+      return cnt >= need[static_cast<std::size_t>(d)];
+    };
+    level_t expect_desire = 0;
+    for (level_t d = my_level; d >= 1 && expect_desire == 0; --d) {
+      if (ok(d, ref_at_or_above(d - 1))) expect_desire = d;
+    }
+    ASSERT_EQ(b.desire_level(my_level, ok), expect_desire) << step;
   }
 }
 
