@@ -1,10 +1,7 @@
 #include "core/cplds.hpp"
 
-#include <algorithm>
-
 #include "concurrent/reclaim.hpp"
 #include "parallel/primitives.hpp"
-#include "parallel/sort.hpp"
 
 namespace cpkcore {
 
@@ -65,30 +62,20 @@ std::vector<Edge> CPLDS::delete_vertices(
 }
 
 std::vector<Edge> CPLDS::insert_batch(std::vector<Edge> edges) {
-  // Pre-normalize so the batch adjacency (used by the marked-batch-neighbor
-  // rule) covers exactly the edges that will be applied.
-  normalize_edges(edges);
-  edges = parallel_filter(
-      edges, [&](const Edge& e) { return !plds_.has_edge(e.u, e.v); });
-
-  begin_batch(edges);
-  auto applied = plds_.insert_batch(edges);
+  begin_batch();
+  auto applied = plds_.insert_batch(std::move(edges));
   finish_batch(applied.size());
   return applied;
 }
 
 std::vector<Edge> CPLDS::delete_batch(std::vector<Edge> edges) {
-  normalize_edges(edges);
-  edges = parallel_filter(
-      edges, [&](const Edge& e) { return plds_.has_edge(e.u, e.v); });
-
-  begin_batch(edges);
-  auto applied = plds_.delete_batch(edges);
+  begin_batch();
+  auto applied = plds_.delete_batch(std::move(edges));
   finish_batch(applied.size());
   return applied;
 }
 
-void CPLDS::begin_batch(const std::vector<Edge>& applied) {
+void CPLDS::begin_batch() {
   {
     std::lock_guard lock(sync_mu_);
     batch_active_ = true;
@@ -96,23 +83,6 @@ void CPLDS::begin_batch(const std::vector<Edge>& applied) {
   // Incremented at the *start* of every batch (paper Algorithm 1); readers
   // sandwich their collect between two loads of this counter.
   batch_number_.fetch_add(1, std::memory_order_seq_cst);
-
-  // Batch adjacency: both directions of each applied edge, grouped by
-  // endpoint, consulted by on_mark for the marked-batch-neighbor rule.
-  batch_halves_.resize(applied.size() * 2);
-  parallel_for(0, applied.size(), [&](std::size_t i) {
-    batch_halves_[2 * i] = BatchHalf{applied[i].u, applied[i].v};
-    batch_halves_[2 * i + 1] = BatchHalf{applied[i].v, applied[i].u};
-  });
-  auto groups =
-      group_by_key(batch_halves_, [](const BatchHalf& h) { return h.at; });
-  batch_adj_.clear();
-  for (const GroupRange& g : groups) {
-    batch_adj_.insert_or_assign(
-        batch_halves_[g.begin].at,
-        {static_cast<std::uint32_t>(g.begin),
-         static_cast<std::uint32_t>(g.end)});
-  }
   marked_count_.store(0, std::memory_order_seq_cst);
 }
 
@@ -130,16 +100,13 @@ void CPLDS::on_mark(vertex_t v, level_t old_level,
   // insertions; below level-1 for deletions).
   for (vertex_t t : triggers) uf_.unite(v, t);
 
-  // Marked batch neighbors (Lemma 6.3): scanning *after* publishing v's
-  // descriptor guarantees that for any batch edge (u, v) where both
-  // endpoints move, at least one endpoint's scan observes the other marked,
-  // so their DAGs merge.
-  if (const auto* range = batch_adj_.find(v)) {
-    for (std::uint32_t i = range->first; i < range->second; ++i) {
-      const vertex_t w = batch_halves_[i].other;
-      if (desc_.marked(w)) uf_.unite(v, w);
-    }
-  }
+  // Marked batch neighbors (Lemma 6.3), read from the PLDS's grouped batch
+  // edges: scanning *after* publishing v's descriptor guarantees that for
+  // any batch edge (u, v) where both endpoints move, at least one
+  // endpoint's scan observes the other marked, so their DAGs merge.
+  plds_.for_each_batch_neighbor(v, [&](vertex_t w) {
+    if (desc_.marked(w)) uf_.unite(v, w);
+  });
 }
 
 void CPLDS::finish_batch(std::size_t applied_edges) {

@@ -43,7 +43,6 @@
 #include "core/level_view.hpp"
 #include "graph/batch.hpp"
 #include "plds/plds.hpp"
-#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace cpkcore {
@@ -195,9 +194,9 @@ class CPLDS {
   void on_mark(vertex_t v, level_t old_level,
                std::span<const vertex_t> triggers);
 
-  /// Batch prologue: bumps the batch number, publishes batch adjacency for
-  /// the marked-batch-neighbor rule, flags batch-active for SyncReads.
-  void begin_batch(const std::vector<Edge>& applied);
+  /// Batch prologue: flags batch-active for SyncReads, bumps the batch
+  /// number. The PLDS normalizes and groups the batch's edges itself.
+  void begin_batch();
 
   /// Batch epilogue: root-first unmarking (Algorithm 2's unmark_all),
   /// capture hooks, quiescence signal.
@@ -217,12 +216,6 @@ class CPLDS {
   // Batch-scoped state (update path only).
   std::vector<vertex_t> marked_list_;
   std::atomic<std::size_t> marked_count_{0};
-  struct BatchHalf {
-    vertex_t at;
-    vertex_t other;
-  };
-  std::vector<BatchHalf> batch_halves_;
-  IntMap<vertex_t, std::pair<std::uint32_t, std::uint32_t>> batch_adj_;
 
   // SyncReads quiescence signaling.
   mutable std::mutex sync_mu_;

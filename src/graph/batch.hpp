@@ -23,7 +23,7 @@ struct UpdateBatch {
 std::vector<UpdateBatch> split_batches(const std::vector<Update>& updates);
 
 /// In-place normalization of one homogeneous batch's edge list, shared by
-/// the CPLDS update path and the serving layer's coalescer/WAL: endpoints
+/// the PLDS update path and the serving layer's coalescer/WAL: endpoints
 /// canonicalized, self-loops dropped, sorted, deduplicated.
 void normalize_edges(std::vector<Edge>& edges);
 

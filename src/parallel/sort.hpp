@@ -158,7 +158,7 @@ std::vector<GroupRange> group_by_key(std::vector<T>& data, KeyFn key) {
   parallel_for(0, starts.size(), [&](std::size_t g) {
     groups[g].begin = starts[g];
     groups[g].end = g + 1 < starts.size() ? starts[g + 1] : n;
-  });
+  }, /*grain=*/serial_cutoff());
   return groups;
 }
 

@@ -6,7 +6,9 @@
 // environment variables so tests and sanitizer runs exercise the parallel
 // paths on small inputs:
 //
-//   CPKC_GRAIN       serial cutoff for the primitives   (default 2048)
+//   CPKC_GRAIN       serial cutoff for the primitives   (default 2048);
+//                    also the scan work below which a PLDS move step runs
+//                    its loops inline instead of forking (plds/plds.hpp)
 //   CPKC_SORT_GRAIN  serial cutoff for parallel_sort    (default 8 x grain,
 //                                                        16384 when unset)
 //

@@ -3,11 +3,50 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
+#include "graph/batch.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/sort.hpp"
 
 namespace cpkcore {
+
+namespace {
+
+/// Grain of a step's loops: one that no loop reaches runs the loop inline
+/// on the batch thread (parallel_for's serial path).
+constexpr std::size_t step_grain(bool inline_step, std::size_t fork_grain) {
+  return inline_step ? std::numeric_limits<std::size_t>::max() : fork_grain;
+}
+
+/// True when a step's scan work, 1 + work(v) summed over its movers, stays
+/// below serial_cutoff().
+template <class Work>
+bool runs_inline(const std::vector<vertex_t>& movers, Work&& work) {
+  std::size_t total = 0;
+  for (const vertex_t v : movers) {
+    if ((total += 1 + work(v)) >= serial_cutoff()) return false;
+  }
+  return true;
+}
+
+/// Concatenates the per-mover fix-up lists.
+template <class T>
+std::vector<T> flatten(const std::vector<std::vector<T>>& parts,
+                       bool inline_step) {
+  const std::size_t grain = step_grain(inline_step, 0);
+  std::vector<std::size_t> offsets(parts.size());
+  parallel_for(0, parts.size(),
+               [&](std::size_t i) { offsets[i] = parts[i].size(); }, grain);
+  std::vector<T> out(parallel_scan_exclusive(offsets));
+  parallel_for(0, parts.size(), [&](std::size_t i) {
+    std::ranges::copy(parts[i],
+                      out.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
+  }, grain);
+  return out;
+}
+
+}  // namespace
 
 PLDS::PLDS(vertex_t num_vertices, LDSParams params)
     : params_(std::move(params)),
@@ -25,71 +64,59 @@ bool PLDS::has_edge(vertex_t u, vertex_t v) const {
   return buckets_[u].contains(v, level_relaxed(v), level_relaxed(u));
 }
 
-void PLDS::begin_batch() {
-  ++batch_stamp_;
-  moved_count_.store(0, std::memory_order_relaxed);
-}
-
-std::vector<Edge> PLDS::normalize(std::vector<Edge> edges,
-                                  bool for_insert) const {
-  for (auto& e : edges) e = e.canonical();
-  std::erase_if(edges, [](const Edge& e) { return e.is_self_loop(); });
-  parallel_sort(edges);
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return parallel_filter(edges, [&](const Edge& e) {
-    return for_insert ? !has_edge(e.u, e.v) : has_edge(e.u, e.v);
-  });
-}
-
 std::vector<vertex_t> PLDS::apply_adjacency(const std::vector<Edge>& edges,
                                             bool insert) {
-  struct Half {
-    vertex_t at;
-    vertex_t other;
-  };
-  std::vector<Half> halves(edges.size() * 2);
+  const bool inline_step = 2 * edges.size() < serial_cutoff();
+  batch_halves_.resize(edges.size() * 2);
   parallel_for(0, edges.size(), [&](std::size_t i) {
-    halves[2 * i] = Half{edges[i].u, edges[i].v};
-    halves[2 * i + 1] = Half{edges[i].v, edges[i].u};
-  });
-  auto groups = group_by_key(halves, [](const Half& h) { return h.at; });
+    batch_halves_[2 * i] = BatchHalf{edges[i].u, edges[i].v};
+    batch_halves_[2 * i + 1] = BatchHalf{edges[i].v, edges[i].u};
+  }, step_grain(inline_step, 0));
+  auto groups =
+      group_by_key(batch_halves_, [](const BatchHalf& h) { return h.at; });
   std::vector<vertex_t> endpoints(groups.size());
   // Grain 1: group sizes follow the degree distribution, so a hub vertex's
   // group dominates; per-group tasks let the pool steal around it.
   parallel_for(0, groups.size(), [&](std::size_t g) {
-    const vertex_t at = halves[groups[g].begin].at;
+    const vertex_t at = batch_halves_[groups[g].begin].at;
     endpoints[g] = at;
     const level_t at_level = level_relaxed(at);
     for (std::size_t i = groups[g].begin; i < groups[g].end; ++i) {
-      const vertex_t other = halves[i].other;
+      const vertex_t other = batch_halves_[i].other;
       if (insert) {
         buckets_[at].insert_neighbor(other, level_relaxed(other), at_level);
       } else {
         buckets_[at].erase_neighbor(other, level_relaxed(other), at_level);
       }
     }
-  },
-  /*grain=*/1);
+  }, step_grain(inline_step, 1));
   return endpoints;
 }
 
 std::vector<Edge> PLDS::insert_batch(std::vector<Edge> edges) {
-  begin_batch();
-  edges = normalize(std::move(edges), /*for_insert=*/true);
-  if (edges.empty()) return edges;
-  auto endpoints = apply_adjacency(edges, /*insert=*/true);
-  num_edges_ += edges.size();
-  insertion_rebalance(std::move(endpoints));
-  return edges;
+  return apply_batch(std::move(edges), /*insert=*/true);
 }
 
 std::vector<Edge> PLDS::delete_batch(std::vector<Edge> edges) {
-  begin_batch();
-  edges = normalize(std::move(edges), /*for_insert=*/false);
+  return apply_batch(std::move(edges), /*insert=*/false);
+}
+
+std::vector<Edge> PLDS::apply_batch(std::vector<Edge> edges, bool insert) {
+  ++batch_stamp_;
+  moved_count_.store(0, std::memory_order_relaxed);
+  batch_halves_.clear();
+  normalize_edges(edges);
+  edges = parallel_filter(
+      edges, [&](const Edge& e) { return has_edge(e.u, e.v) != insert; });
   if (edges.empty()) return edges;
-  auto endpoints = apply_adjacency(edges, /*insert=*/false);
-  num_edges_ -= edges.size();
-  deletion_rebalance(std::move(endpoints));
+  auto endpoints = apply_adjacency(edges, insert);
+  if (insert) {
+    num_edges_ += edges.size();
+    insertion_rebalance(std::move(endpoints));
+  } else {
+    num_edges_ -= edges.size();
+    deletion_rebalance(std::move(endpoints));
+  }
   return edges;
 }
 
@@ -115,55 +142,68 @@ void PLDS::mark_if_needed(vertex_t v, bool insertion_phase) {
   hooks_.on_mark(v, old_level, triggers);
 }
 
+std::uint64_t PLDS::start_step(const std::vector<vertex_t>& movers,
+                               bool inline_step, bool insertion_phase) {
+  const std::uint64_t step = ++move_step_;
+  const std::size_t grain = step_grain(inline_step, 0);
+  parallel_for(
+      0, movers.size(), [&](std::size_t i) { moving_stamp_[movers[i]] = step; },
+      grain);
+  // Mark before any level changes (descriptors must capture old levels and
+  // be visible before readers can observe movement).
+  if (hooks_.on_mark) {
+    parallel_for(
+        0, movers.size(),
+        [&](std::size_t i) { mark_if_needed(movers[i], insertion_phase); },
+        grain);
+  }
+  return step;
+}
+
+void PLDS::publish_levels(const std::vector<vertex_t>& movers, level_t to,
+                          bool inline_step) {
+  parallel_for(0, movers.size(), [&](std::size_t i) {
+    level_[movers[i]].store(to, std::memory_order_seq_cst);
+    record_move(movers[i]);
+  }, step_grain(inline_step, 0));
+}
+
 void PLDS::insertion_rebalance(std::vector<vertex_t> dirty) {
-  // Deduplicate the initial dirty set (endpoints are already distinct) and
-  // stamp membership.
+  // Level buckets: the endpoints (already distinct) sorted by level. A
+  // vertex's level changes only in the step at its level, so the order
+  // holds until the sweep reaches it.
   for (vertex_t v : dirty) dirty_stamp_[v] = batch_stamp_;
+  parallel_sort(dirty, [&](vertex_t a, vertex_t b) {
+    return std::pair{level_relaxed(a), a} < std::pair{level_relaxed(b), b};
+  });
 
-  while (!dirty.empty()) {
-    // Lowest level present in the dirty set; the sweep visits levels in
-    // increasing order and new dirt only appears above the current level.
-    const level_t lmin = static_cast<level_t>(parallel_reduce(
-        dirty.size(), std::numeric_limits<level_t>::max(),
-        [&](std::size_t i) { return level_relaxed(dirty[i]); },
-        [](level_t a, level_t b) { return std::min(a, b); }));
+  auto next_bucket = dirty.begin();
+  std::vector<vertex_t> carried;  // candidates at lmin from the step below
+  level_t lmin = 0;
+  for (;;) {
+    if (carried.empty()) {
+      if (next_bucket == dirty.end()) break;
+      lmin = level_relaxed(*next_bucket);
+    }
     if (lmin >= params_.num_levels() - 1) break;  // top level cannot rise
+    const auto bucket_end = std::find_if(
+        next_bucket, dirty.end(),
+        [&](vertex_t v) { return level_relaxed(v) != lmin; });
+    carried.insert(carried.end(), next_bucket, bucket_end);
+    next_bucket = bucket_end;
 
-    auto candidates = parallel_filter(dirty, [&](vertex_t v) {
-      return level_relaxed(v) == lmin;
-    });
-    auto rest = parallel_filter(dirty, [&](vertex_t v) {
-      return level_relaxed(v) != lmin;
-    });
-
-    auto movers = parallel_filter(candidates, [&](vertex_t v) {
+    // Non-movers leave the dirty set for good: every later step sits above
+    // their level, so no neighbor can rise into it.
+    auto movers = parallel_filter(carried, [&](vertex_t v) {
       return !params_.inv1_ok(lmin, buckets_[v].up_degree());
     });
-    // Non-movers at this level leave the dirty set (they may re-enter when
-    // a neighbor rises into their level).
-    parallel_for(0, candidates.size(), [&](std::size_t i) {
-      const vertex_t v = candidates[i];
-      if (params_.inv1_ok(lmin, buckets_[v].up_degree())) {
-        dirty_stamp_[v] = 0;
-      }
-    });
-    if (movers.empty()) {
-      dirty = std::move(rest);
-      continue;
-    }
+    carried.clear();
+    if (movers.empty()) continue;
 
-    ++move_step_;
-    const std::uint64_t step = move_step_;
-    parallel_for(0, movers.size(),
-                 [&](std::size_t i) { moving_stamp_[movers[i]] = step; });
-
-    // Mark before any level changes (descriptors must capture old levels and
-    // be visible before readers can observe movement).
-    if (hooks_.on_mark) {
-      parallel_for(0, movers.size(), [&](std::size_t i) {
-        mark_if_needed(movers[i], /*insertion_phase=*/true);
-      });
-    }
+    const bool inline_step = runs_inline(
+        movers, [&](vertex_t v) { return buckets_[v].up_degree(); });
+    const std::uint64_t step =
+        start_step(movers, inline_step, /*insertion_phase=*/true);
 
     // Restructure each mover's own buckets and emit fix-ups for non-moving
     // neighbors at levels >= lmin + 1. Uses pre-move levels throughout.
@@ -183,26 +223,13 @@ void PLDS::insertion_rebalance(std::vector<vertex_t> dirty) {
       buckets_[v].on_my_level_up(lmin, [&](vertex_t w) {
         return moving_stamp_[w] != step && level_relaxed(w) == lmin;
       });
-    },
-    /*grain=*/1);
+    }, step_grain(inline_step, 1));
 
-    // Publish the new levels (and record the movers for the view layer).
-    parallel_for(0, movers.size(), [&](std::size_t i) {
-      level_[movers[i]].store(lmin + 1, std::memory_order_seq_cst);
-      record_move(movers[i]);
-    });
+    publish_levels(movers, lmin + 1, inline_step);
 
-    // Flatten + group fix-ups by affected vertex and apply; a vertex whose
-    // up-degree grows (neighbor rose into its level) becomes dirty.
-    std::vector<std::size_t> offsets(movers.size());
-    parallel_for(0, movers.size(),
-                 [&](std::size_t i) { offsets[i] = emitted[i].size(); });
-    const std::size_t total = parallel_scan_exclusive(offsets);
-    std::vector<NeighborMove> moves(total);
-    parallel_for(0, movers.size(), [&](std::size_t i) {
-      std::copy(emitted[i].begin(), emitted[i].end(),
-                moves.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
-    });
+    // Group fix-ups by affected vertex and apply; a vertex whose up-degree
+    // grows (neighbor rose into its level) becomes dirty.
+    auto moves = flatten(emitted, inline_step);
     auto groups = group_by_key(moves, [](const NeighborMove& m) {
       return m.at;
     });
@@ -218,22 +245,20 @@ void PLDS::insertion_rebalance(std::vector<vertex_t> dirty) {
       // Neighbors rose to lmin+1; `at`'s up-degree grew iff it sits exactly
       // at lmin+1 (they joined its `up` bucket).
       grew[g] = (at_level == lmin + 1) ? 1 : 0;
-    },
-    /*grain=*/1);
+    }, step_grain(inline_step, 1));
 
-    // Next dirty set: untouched higher-level dirt, movers (recheck at
-    // lmin+1), and vertices whose up-degree grew.
-    std::vector<vertex_t> next = std::move(rest);
-    next.insert(next.end(), movers.begin(), movers.end());
+    // The next step's candidates: movers (recheck at lmin+1), vertices
+    // whose up-degree grew, and the bucket at lmin+1.
+    carried = std::move(movers);
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (!grew[g]) continue;
       const vertex_t at = moves[groups[g].begin].at;
       if (dirty_stamp_[at] != batch_stamp_) {
         dirty_stamp_[at] = batch_stamp_;
-        next.push_back(at);
+        carried.push_back(at);
       }
     }
-    dirty = std::move(next);
+    ++lmin;
   }
   // Clear residual stamps lazily: batch_stamp_ changes next batch.
 }
@@ -270,16 +295,10 @@ void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
         pending, [&](vertex_t v) { return desire_[v] != target; });
     assert(!movers.empty());
 
-    ++move_step_;
-    const std::uint64_t step = move_step_;
-    parallel_for(0, movers.size(),
-                 [&](std::size_t i) { moving_stamp_[movers[i]] = step; });
-
-    if (hooks_.on_mark) {
-      parallel_for(0, movers.size(), [&](std::size_t i) {
-        mark_if_needed(movers[i], /*insertion_phase=*/false);
-      });
-    }
+    const bool inline_step = runs_inline(
+        movers, [&](vertex_t v) { return buckets_[v].degree(); });
+    const std::uint64_t step =
+        start_step(movers, inline_step, /*insertion_phase=*/false);
 
     // Emit fix-ups for non-moving neighbors above the target level, using
     // pre-move state: v's old level and bucket indices identify where v sat
@@ -299,23 +318,11 @@ void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
       });
       // Own restructure: down levels [target, old_level) merge into `up`.
       buckets_[v].on_my_level_down(old_level, target);
-    },
-    /*grain=*/1);
+    }, step_grain(inline_step, 1));
 
-    parallel_for(0, movers.size(), [&](std::size_t i) {
-      level_[movers[i]].store(target, std::memory_order_seq_cst);
-      record_move(movers[i]);
-    });
+    publish_levels(movers, target, inline_step);
 
-    std::vector<std::size_t> offsets(movers.size());
-    parallel_for(0, movers.size(),
-                 [&](std::size_t i) { offsets[i] = emitted[i].size(); });
-    const std::size_t total = parallel_scan_exclusive(offsets);
-    std::vector<NeighborMove> moves(total);
-    parallel_for(0, movers.size(), [&](std::size_t i) {
-      std::copy(emitted[i].begin(), emitted[i].end(),
-                moves.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
-    });
+    auto moves = flatten(emitted, inline_step);
     auto groups = group_by_key(moves, [](const NeighborMove& m) {
       return m.at;
     });
@@ -336,13 +343,12 @@ void PLDS::deletion_rebalance(std::vector<vertex_t> dirty) {
         }
       }
       affected[g] = touched ? 1 : 0;
-    },
-    /*grain=*/1);
+    }, step_grain(inline_step, 1));
 
     // Movers now satisfy Invariant 2 at their desire level by construction.
-    parallel_for(0, movers.size(), [&](std::size_t i) {
-      dirty_stamp_[movers[i]] = 0;
-    });
+    parallel_for(
+        0, movers.size(), [&](std::size_t i) { dirty_stamp_[movers[i]] = 0; },
+        step_grain(inline_step, 0));
 
     // Enqueue new violators and refresh stale desire levels.
     //  * A *pending* vertex must refresh whenever any neighbor moved: its

@@ -4,7 +4,9 @@
 //
 //  * Insertion phase: levels are processed in increasing order; all vertices
 //    at the current level violating Invariant 1 rise one level in parallel.
-//    Each level is visited at most once per batch.
+//    Each level is visited at most once per batch. The endpoints are sorted
+//    by level once, and a step at level l makes new dirt only at l + 1, so
+//    a step reads only its own level's candidates.
 //  * Deletion phase: each vertex violating Invariant 2 computes its *desire
 //    level* (the highest level below its current one where Invariant 2
 //    holds) and moves there directly; desire levels of affected neighbors
@@ -14,10 +16,15 @@
 // vertex (semisort), so every VertexBuckets instance is mutated by exactly
 // one task per step — no locks on the update path.
 //
+// A move step whose scan work (1 + degree summed over its movers) is below
+// serial_cutoff() runs its loops inline on the batch thread; larger steps
+// fork one task per mover and per group. Both compute the same levels.
+//
 // Reader-visible state is only the atomic per-vertex level array; CPLDS
 // layers descriptors on top via the marking hooks below.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <span>
@@ -37,7 +44,7 @@ class PLDS {
   /// changes; `triggers` holds the marked neighbors per the paper's trigger
   /// rule (insertions: marked neighbors at v's level or above; deletions:
   /// marked neighbors strictly below level(v) - 1). `is_marked` lets the
-  /// PLDS filter triggers.
+  /// PLDS filter triggers. on_mark may call for_each_batch_neighbor.
   struct Hooks {
     std::function<void(vertex_t, level_t, std::span<const vertex_t>)> on_mark;
     std::function<bool(vertex_t)> is_marked;
@@ -73,9 +80,6 @@ class PLDS {
 
   /// Update-path only (not safe concurrent with a running batch).
   [[nodiscard]] bool has_edge(vertex_t u, vertex_t v) const;
-  [[nodiscard]] std::size_t up_degree(vertex_t v) const {
-    return buckets_[v].up_degree();
-  }
   [[nodiscard]] std::size_t degree(vertex_t v) const {
     return buckets_[v].degree();
   }
@@ -103,6 +107,15 @@ class PLDS {
     return {moved_list_.data(), moved_count_.load(std::memory_order_acquire)};
   }
 
+  /// Calls f(w) for every edge (v, w) the current batch applies. Valid while
+  /// the batch's levels move (read-only then, so safe to call concurrently).
+  template <class F>
+  void for_each_batch_neighbor(vertex_t v, F&& f) const {
+    const auto [lo, hi] =
+        std::ranges::equal_range(batch_halves_, v, {}, &BatchHalf::at);
+    for (auto it = lo; it != hi; ++it) f(it->other);
+  }
+
   /// Bytes the level buckets take: per vertex, the VertexBuckets object and
   /// the heap it owns. Quiescent use only.
   [[nodiscard]] std::size_t bucket_bytes() const;
@@ -122,15 +135,30 @@ class PLDS {
     level_t to = kNoLevel;
   };
 
-  void begin_batch();
-  std::vector<Edge> normalize(std::vector<Edge> edges, bool for_insert) const;
+  /// One direction of a batch edge.
+  struct BatchHalf {
+    vertex_t at;
+    vertex_t other;
+  };
+
+  /// Normalizes the batch, drops present (resp. absent) edges, applies it.
+  std::vector<Edge> apply_batch(std::vector<Edge> edges, bool insert);
   /// Inserts/removes batch edges into/from the bucket structures, grouped by
-  /// endpoint. Returns the distinct endpoints.
+  /// endpoint, and keeps the grouped halves for for_each_batch_neighbor.
+  /// Returns the distinct endpoints.
   std::vector<vertex_t> apply_adjacency(const std::vector<Edge>& edges,
                                         bool insert);
 
   void insertion_rebalance(std::vector<vertex_t> dirty);
   void deletion_rebalance(std::vector<vertex_t> dirty);
+
+  /// Stamps and marks a step's movers before any level changes; returns the
+  /// step's stamp.
+  std::uint64_t start_step(const std::vector<vertex_t>& movers,
+                           bool inline_step, bool insertion_phase);
+  /// Publishes the movers' new level and records them as moved.
+  void publish_levels(const std::vector<vertex_t>& movers, level_t to,
+                      bool inline_step);
 
   /// Calls hooks_.on_mark for v if this is v's first move in the batch.
   void mark_if_needed(vertex_t v, bool insertion_phase);
@@ -167,6 +195,7 @@ class PLDS {
   Hooks hooks_;
 
   // Batch-scoped scratch (stamp arrays avoid per-batch clearing).
+  std::vector<BatchHalf> batch_halves_;      // sorted by `at`
   std::uint32_t batch_stamp_ = 0;
   std::vector<std::uint32_t> marked_stamp_;  // v marked in batch b
   std::vector<std::uint32_t> dirty_stamp_;   // v in the dirty/pending set

@@ -110,26 +110,99 @@ TEST(Cplds, MarkedCountMatchesCapturedDags) {
   }
 }
 
+// Lemma 6.3 on the most recent batch (needs Options::capture_dags): every
+// applied batch edge whose endpoints both moved lies within one DAG.
+// Returns the number of such edges.
+std::size_t expect_co_moving_batch_edges_share_dags(
+    const CPLDS& ds, const std::vector<Edge>& applied) {
+  std::map<vertex_t, vertex_t> root_of;
+  for (const auto& [v, root] : ds.last_batch_dags()) root_of[v] = root;
+  std::size_t checked = 0;
+  for (const Edge& e : applied) {
+    const auto ru = root_of.find(e.u);
+    const auto rv = root_of.find(e.v);
+    if (ru == root_of.end() || rv == root_of.end()) continue;
+    EXPECT_EQ(ru->second, rv->second)
+        << "batch edge (" << e.u << "," << e.v << ") crosses DAGs";
+    ++checked;
+  }
+  return checked;
+}
+
 TEST(Cplds, BatchEdgeEndpointsThatBothMoveShareADag) {
   // Lemma 6.3. Use a clique insertion: plenty of co-moving batch edges.
   constexpr vertex_t kN = 80;
   CPLDS::Options opt;
   opt.capture_dags = true;
   CPLDS ds(kN, small_params(kN), opt);
-  auto edges = gen::complete(kN);
-  ds.insert_batch(edges);
+  const auto applied = ds.insert_batch(gen::complete(kN));
+  EXPECT_GT(expect_co_moving_batch_edges_share_dags(ds, applied), 0u);
+}
 
-  std::map<vertex_t, vertex_t> root_of;
-  for (const auto& [v, root] : ds.last_batch_dags()) root_of[v] = root;
-  std::size_t checked = 0;
-  for (const Edge& e : edges) {
-    const auto ru = root_of.find(e.u);
-    const auto rv = root_of.find(e.v);
-    if (ru != root_of.end() && rv != root_of.end()) {
-      ASSERT_EQ(ru->second, rv->second)
-          << "batch edge (" << e.u << "," << e.v << ") crosses DAGs";
-      ++checked;
+// Lemma 6.3 where the trigger rule cannot help. With 2 levels per group, a
+// K_3 rests at level 0 and two K_4s rest at level 4 (Invariant 1 allows
+// up-degree 2.33 in group 0, 2.8 in group 1, 3.36 in group 2). The batch
+// joins the K_4s by (v, w), lifting both past level 4, and adds (u, v),
+// lifting u to level 1 only. u is marked at step 0, while v is unmarked;
+// v is marked at step 4 with u below it, outside the `up` its trigger scan
+// reads. Only v's scan of its marked batch neighbors merges the two DAGs.
+TEST(Cplds, BatchEdgeFromLowRiserToHighRiserSharesADag) {
+  constexpr vertex_t kN = 11;
+  CPLDS::Options opt;
+  opt.capture_dags = true;
+  CPLDS ds(kN, LDSParams::create(kN, kDefaultDelta, kDefaultLambda,
+                                 /*levels_per_group_cap=*/2),
+           opt);
+  const vertex_t u = 0, v = 3, w = 7;
+  std::vector<Edge> cliques;
+  auto add_clique = [&](vertex_t first, vertex_t size) {
+    for (vertex_t a = first; a < first + size; ++a) {
+      for (vertex_t b = a + 1; b < first + size; ++b) cliques.push_back({a, b});
     }
+  };
+  add_clique(u, 3);
+  add_clique(v, 4);
+  add_clique(w, 4);
+  ds.insert_batch(cliques);
+  ASSERT_EQ(ds.read_level(u), 0);
+  ASSERT_EQ(ds.read_level(v), 4);
+  ASSERT_EQ(ds.read_level(w), 4);
+
+  const auto applied = ds.insert_batch({{u, v}, {v, w}});
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(ds.read_level(u), 1);
+  EXPECT_EQ(ds.read_level(v), 5);
+  EXPECT_EQ(ds.read_level(w), 5);
+  EXPECT_EQ(expect_co_moving_batch_edges_share_dags(ds, applied), 2u);
+}
+
+// Lemma 6.3 on every batch of a sliding-window stream over a social graph:
+// alternating insertion and deletion batches, so both phases' marking runs.
+TEST(Cplds, CoMovingBatchEdgesShareADagOnEveryStreamBatch) {
+  constexpr vertex_t kN = 2000;
+  CPLDS::Options opt;
+  opt.capture_dags = true;
+  CPLDS ds(kN, small_params(kN), opt);
+  auto edges = gen::social(kN, 4, 2, 40, 0.9, 61);
+  Xoshiro256 rng(62);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.next_below(i)]);
+  }
+  const std::size_t m = edges.size();
+  const std::size_t hole = m / 10;
+  const std::size_t b = 200;
+  auto range = [&](std::size_t from, std::size_t len) {
+    std::vector<Edge> out;
+    for (std::size_t i = 0; i < len; ++i) out.push_back(edges[(from + i) % m]);
+    return out;
+  };
+  ds.insert_batch(range(hole, m - hole));
+  std::size_t checked = 0;
+  for (std::size_t pos = 0; pos < m; pos += b) {
+    checked += expect_co_moving_batch_edges_share_dags(
+        ds, ds.insert_batch(range(pos, b)));
+    checked += expect_co_moving_batch_edges_share_dags(
+        ds, ds.delete_batch(range(pos + hole, b)));
   }
   EXPECT_GT(checked, 0u);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "kcore/peel.hpp"
+#include "parallel/tuning.hpp"
 #include "plds/plds.hpp"
 #include "util/rng.hpp"
 
@@ -136,7 +138,9 @@ TEST(Plds, LevelsAreDeterministicAcrossRuns) {
 TEST(Plds, MarkHooksFireOncePerMovedVertexWithOldLevel) {
   constexpr vertex_t kN = 60;
   PLDS plds(kN, LDSParams::create(kN));
-  std::vector<int> marks(kN, 0);
+  // Atomic: is_marked reads a neighbor's count while its own mark may run
+  // on another worker.
+  std::vector<std::atomic<int>> marks(kN);
   std::vector<level_t> old_levels(kN, -1);
   std::atomic<int> total{0};
   PLDS::Hooks hooks;
@@ -146,7 +150,7 @@ TEST(Plds, MarkHooksFireOncePerMovedVertexWithOldLevel) {
     old_levels[v] = old_level;
     total.fetch_add(1);
   };
-  hooks.is_marked = [&](vertex_t v) { return marks[v] > 0; };
+  hooks.is_marked = [&](vertex_t v) { return marks[v].load() > 0; };
   plds.set_hooks(hooks);
 
   std::vector<level_t> before(kN);
@@ -155,8 +159,8 @@ TEST(Plds, MarkHooksFireOncePerMovedVertexWithOldLevel) {
 
   EXPECT_GT(total.load(), 0);
   for (vertex_t v = 0; v < kN; ++v) {
-    EXPECT_LE(marks[v], 1) << v;
-    if (marks[v] == 1) {
+    EXPECT_LE(marks[v].load(), 1) << v;
+    if (marks[v].load() == 1) {
       // Old level recorded at mark time must be the pre-batch level.
       EXPECT_EQ(old_levels[v], before[v]) << v;
       EXPECT_GT(plds.level(v), before[v]) << v;
@@ -383,12 +387,23 @@ std::uint64_t level_digest(const PLDS& plds) {
 
 // Golden levels: the digest was recorded from the dense per-level bucket
 // layout this one replaced. Levels are a function of the stream alone, so
-// it also holds at every worker count.
+// it also holds at every worker count, and on both execution paths of a
+// move step: a serial cutoff of 1 forks every step, and one no step
+// reaches runs every step inline (0 restores the default).
 TEST(Plds, GoldenSlidingWindowLevels) {
-  const auto plds = run_golden_stream();
-  std::string why;
-  ASSERT_TRUE(plds->validate(&why)) << why;
-  EXPECT_EQ(level_digest(*plds), 0xd583864be6ad9a95ULL);
+  // Resolve the sort cutoff first: it scales with serial_cutoff() when
+  // CPKC_GRAIN is set, and must not pick up the overrides below.
+  (void)sort_serial_cutoff();
+  for (const std::size_t cutoff : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{1} << 40}) {
+    set_serial_cutoff(cutoff);
+    const auto plds = run_golden_stream();
+    set_serial_cutoff(0);
+    std::string why;
+    ASSERT_TRUE(plds->validate(&why)) << "cutoff " << cutoff << ": " << why;
+    EXPECT_EQ(level_digest(*plds), 0xd583864be6ad9a95ULL)
+        << "cutoff " << cutoff;
+  }
 }
 
 // The buckets store only non-empty levels, so their bytes are linear in
