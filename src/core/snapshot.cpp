@@ -37,6 +37,7 @@ void save_snapshot(vertex_t num_vertices, const std::vector<Edge>& edges,
   for (const Edge& e : edges) {
     out << e.u << ' ' << e.v << '\n';
   }
+  out.close();  // the final buffered write can fail too
   if (!out) throw std::runtime_error("write failed: " + path);
 }
 

@@ -7,12 +7,12 @@ namespace cpkcore {
 
 namespace {
 
-std::size_t env_cutoff(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
+std::size_t env_grain() {
+  if (const char* env = std::getenv("CPKC_GRAIN")) {
     const long long v = std::strtoll(env, nullptr, 10);
     if (v > 0) return static_cast<std::size_t>(v);
   }
-  return fallback;
+  return 2048;
 }
 
 // 0 means "not yet resolved"; resolved values are always >= 1.
@@ -24,8 +24,7 @@ std::atomic<std::size_t> g_sort_cutoff{0};
 std::size_t serial_cutoff() {
   std::size_t v = g_serial_cutoff.load(std::memory_order_relaxed);
   if (v == 0) {
-    v = env_cutoff("CPKC_GRAIN", 2048);
-    if (v == 0) v = 1;
+    v = env_grain();
     g_serial_cutoff.store(v, std::memory_order_relaxed);
   }
   return v;
@@ -34,12 +33,8 @@ std::size_t serial_cutoff() {
 std::size_t sort_serial_cutoff() {
   std::size_t v = g_sort_cutoff.load(std::memory_order_relaxed);
   if (v == 0) {
-    // CPKC_SORT_GRAIN wins; otherwise scale with CPKC_GRAIN when that is
-    // set (so one knob shrinks every cutoff), else the historical 1 << 14.
-    std::size_t fallback = std::size_t{1} << 14;
-    if (std::getenv("CPKC_GRAIN") != nullptr) fallback = 8 * serial_cutoff();
-    v = env_cutoff("CPKC_SORT_GRAIN", fallback);
-    if (v == 0) v = 1;
+    // Scales with serial_cutoff(), so CPKC_GRAIN shrinks every cutoff.
+    v = 8 * serial_cutoff();
     g_sort_cutoff.store(v, std::memory_order_relaxed);
   }
   return v;

@@ -3,14 +3,13 @@
 // The primitives (reduce/scan/pack) fall back to serial code below
 // serial_cutoff() elements, and parallel_sort below sort_serial_cutoff().
 // Both default to values tuned for release builds but can be lowered via
-// environment variables so tests and sanitizer runs exercise the parallel
-// paths on small inputs:
+// one environment variable so tests and sanitizer runs exercise the
+// parallel paths on small inputs:
 //
-//   CPKC_GRAIN       serial cutoff for the primitives   (default 2048);
-//                    also the scan work below which a PLDS move step runs
-//                    its loops inline instead of forking (plds/plds.hpp)
-//   CPKC_SORT_GRAIN  serial cutoff for parallel_sort    (default 8 x grain,
-//                                                        16384 when unset)
+//   CPKC_GRAIN  serial cutoff for the primitives (default 2048); also the
+//               scan work below which a PLDS move step runs its loops
+//               inline instead of forking (plds/plds.hpp). The sort
+//               cutoff is 8 x this.
 //
 // The environment is read once on first use; tests can override within a
 // process via the setters (0 restores the env/default value).

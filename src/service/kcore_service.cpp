@@ -637,18 +637,21 @@ void KCoreService::checkpoint() {
       {{"cut_lsn", std::to_string(cut_lsn)},
        {"edges", std::to_string(edges.size())}});
   // Phase 2 — stream (no lock): write the snapshot while updates keep
-  // committing past the cut. A crash mid-save cannot destroy the previous
-  // snapshot: until the rename below, the old snapshot + full WAL still
-  // reconstruct every acked op.
+  // committing past the cut, and publish it durably (fsync, rename,
+  // directory fsync) before the WAL prefix it replaces is dropped. A crash
+  // before the rename leaves the old snapshot + full WAL; a crash between
+  // the rename and the compaction replays records the snapshot already
+  // holds, which is harmless — each record sets its edges' membership, so
+  // replaying a prefix over a later state ends in the same edge set.
   const std::string tmp = config_.snapshot_path + ".tmp";
   save_snapshot(num_vertices, edges, tmp);
-  // Phase 3 — publish (bounded pause): swap in the snapshot and compact
-  // the WAL down to the records committed since the cut, in the same
-  // critical section so no cycle commits between the two. The pause is
-  // proportional to that suffix, not to the structure size.
+  publish_file(tmp, config_.snapshot_path);
+  // Phase 3 — compact (bounded pause): drop the WAL down to the records
+  // committed since the cut. The apply lock keeps cycles from committing
+  // during the rewrite; the pause is proportional to that suffix, not to
+  // the structure size.
   {
     std::lock_guard lock(apply_mu_);
-    std::filesystem::rename(tmp, config_.snapshot_path);
     if (wal_.is_open()) wal_.compact(cut_lsn);
   }
   if (!config_.wal_path.empty()) {

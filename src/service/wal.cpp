@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "obs/health.hpp"
+#include "obs/trace.hpp"
 
 namespace cpkcore::service {
 
@@ -32,11 +34,16 @@ std::uint64_t get_u64(const unsigned char* p) {
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
 
-bool starts_with(const std::vector<unsigned char>& data, const char* magic) {
-  const std::size_t len = std::strlen(magic);
-  return data.size() > len &&
-         std::memcmp(data.data(), magic, len) == 0 &&
-         data[len] == '\n';
+/// The one header check: a v4 magic line and a full 24-byte header.
+WalHeaderInfo parse_header(const unsigned char* data, std::size_t size,
+                           const std::string& path) {
+  constexpr std::size_t kMagicLen = sizeof kWalMagicV4 - 1;
+  if (size < kWalHeaderV4Bytes ||
+      std::memcmp(data, kWalMagicV4, kMagicLen) != 0 ||
+      data[kMagicLen] != '\n') {
+    throw std::runtime_error("bad WAL header in " + path);
+  }
+  return {get_u32(data + 12), get_u64(data + 16)};
 }
 
 std::vector<unsigned char> slurp(const std::string& path) {
@@ -50,44 +57,50 @@ std::vector<unsigned char> slurp(const std::string& path) {
   return out;
 }
 
-void write_all_fd(int fd, const unsigned char* data, std::size_t len,
-                  const std::string& path) {
+int open_log(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open WAL: " + path);
+  return fd;
+}
+
+/// Atomically replaces `path` with `data`: a temp file published through
+/// publish_file().
+void replace_file(const std::string& path,
+                  const std::vector<unsigned char>& data) {
+  const std::string tmp = path + ".rewrite";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+    out.close();
+    if (!out) throw std::runtime_error("WAL write failed: " + tmp);
+  }
+  publish_file(tmp, path);
+}
+
+void pwrite_all(int fd, const unsigned char* data, std::size_t len,
+                std::uint64_t offset, const std::string& path) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    const ssize_t n = ::pwrite(fd, data, len, static_cast<off_t>(offset));
     if (n < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error("WAL write failed: " + path);
     }
     data += n;
     len -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
   }
 }
 
-/// Atomically replaces `path` with `data`: temp file, fsync (replacing a
-/// log is not a place to risk an empty rename target on power loss),
-/// rename, parent-dir fsync.
-void replace_file(const std::string& path,
-                  const std::vector<unsigned char>& data) {
-  const std::string tmp = path + ".rewrite";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) throw std::runtime_error("cannot create " + tmp);
-  try {
-    write_all_fd(fd, data.data(), data.size(), tmp);
-    if (::fsync(fd) != 0) throw std::runtime_error("fsync failed: " + tmp);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  std::filesystem::rename(tmp, path);
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
+void sync_fd(int fd, WalDurability durability, const std::string& path) {
+  if (durability == WalDurability::kFdatasync) {
+    if (::fdatasync(fd) != 0) {
+      throw std::runtime_error("WAL fdatasync failed: " + path);
+    }
+  } else if (durability == WalDurability::kFsync) {
+    if (::fsync(fd) != 0) {
+      throw std::runtime_error("WAL fsync failed: " + path);
+    }
   }
 }
 
@@ -102,25 +115,22 @@ struct ParsedV4 {
 /// parses, checksums, and continues the LSN sequence. The first torn /
 /// corrupt / out-of-sequence frame ends the committed prefix. Throws on a
 /// bad header only.
-ParsedV4 parse_committed_v4(const unsigned char* data, std::size_t size,
+ParsedV4 parse_committed_v4(const std::vector<unsigned char>& image,
                             const std::string& path, vertex_t num_vertices,
                             const WalFrameFn& on_frame) {
-  if (size < kWalHeaderV4Bytes) {
-    throw std::runtime_error("bad WAL header in " + path);
-  }
-  const vertex_t file_n = get_u32(data + 12);
-  if (file_n != num_vertices) {
+  const WalHeaderInfo header = parse_header(image.data(), image.size(), path);
+  if (header.num_vertices != num_vertices) {
     throw std::runtime_error("WAL vertex count mismatch in " + path);
   }
   ParsedV4 out;
-  out.base_lsn = get_u64(data + 16);
+  out.base_lsn = header.base_lsn;
   out.last_lsn = out.base_lsn;
   out.committed_end = kWalHeaderV4Bytes;
   std::size_t off = kWalHeaderV4Bytes;
   for (;;) {
     std::size_t consumed = 0;
-    const WalFramePtr frame =
-        WalFrame::try_parse(data + off, size - off, num_vertices, &consumed);
+    const WalFramePtr frame = WalFrame::try_parse(
+        image.data() + off, image.size() - off, num_vertices, &consumed);
     if (frame == nullptr || frame->lsn() != out.last_lsn + 1) break;
     if (on_frame) on_frame(frame);
     ++out.records;
@@ -133,6 +143,23 @@ ParsedV4 parse_committed_v4(const unsigned char* data, std::size_t size,
 
 }  // namespace
 
+void publish_file(const std::string& tmp, const std::string& path) {
+  const int fd = ::open(tmp.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open " + tmp);
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) throw std::runtime_error("fsync failed: " + tmp);
+  std::filesystem::rename(tmp, path);
+  const std::string dir =
+      std::filesystem::path(path).parent_path().string();
+  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
+                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) throw std::runtime_error("cannot open directory of " + path);
+  const int drc = ::fsync(dfd);
+  ::close(dfd);
+  if (drc != 0) throw std::runtime_error("directory fsync failed: " + path);
+}
+
 WalOpenInfo WriteAheadLog::open(const std::string& path,
                                 vertex_t num_vertices,
                                 const WalReplayFn& on_batch,
@@ -140,143 +167,49 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
   close();
   path_ = path;
   num_vertices_ = num_vertices;
-  base_lsn_ = 0;
-  options_ = options;
+  options_ = std::move(options);
   buf_.clear();
-  size_ = 0;
-  prealloc_limit_ = 0;
-  staged_lsn_.store(0, std::memory_order_relaxed);
-  durable_lsn_.store(0, std::memory_order_relaxed);
-  acc_flushes_.store(0, std::memory_order_relaxed);
-  acc_flushed_bytes_.store(0, std::memory_order_relaxed);
 
-  namespace fs = std::filesystem;
-  WalOpenInfo info;
-  bool created = false;
-  // A crash inside open()'s create-then-write-header window
-  // leaves an existing zero-byte file; treat it as fresh rather than
-  // bricking every subsequent restart. A *non-empty* file with a bad
-  // header still throws — that is corruption (or the wrong file), and
-  // silently overwriting it would destroy evidence.
-  if (fs::exists(path) && fs::file_size(path) > 0) {
-    const std::vector<unsigned char> contents = slurp(path);
-    if (!starts_with(contents, kWalMagicV4)) {
-      throw std::runtime_error("bad WAL header in " + path);
-    }
-    const ParsedV4 parsed = parse_committed_v4(
-        contents.data(), contents.size(), path, num_vertices,
-        on_batch == nullptr ? WalFrameFn{}
-                            : WalFrameFn{[&](const WalFramePtr& f) {
-                                on_batch(f->lsn(), f->decode_batch());
-                              }});
-    base_lsn_ = parsed.base_lsn;
-    info.replayed = parsed.records;
-    info.last_lsn = parsed.last_lsn;
-    if (parsed.committed_end < contents.size()) {
-      fs::resize_file(path, parsed.committed_end);
-    }
-    size_ = parsed.committed_end;
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (fd_ < 0) throw std::runtime_error("cannot append to WAL: " + path);
+  // A missing file, or an empty one (outside input: publish_file never
+  // leaves one), opens fresh. A *non-empty* file with a bad header throws from
+  // the scan and is left untouched — that is corruption (or the wrong
+  // file), and silently overwriting it would destroy evidence.
+  const WalScanInfo found = scan_wal(path, num_vertices, on_batch);
+  if (found.committed_bytes == 0) {
+    std::vector<unsigned char> header;
+    append_wal_header_v4(header, num_vertices, 0);
+    replace_file(path, header);
+    size_ = header.size();
   } else {
-    // O_APPEND like the reopen path: the flusher pwrites past this fd's
-    // own offset, so a later write through fd_ (close()'s tail push) must
-    // land at end of file.
-    fd_ = ::open(path_.c_str(),
-                 O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
-    if (fd_ < 0) throw std::runtime_error("cannot create WAL: " + path);
-    created = true;
-    append_wal_header_v4(buf_, num_vertices_, base_lsn_);
+    // Truncate the uncommitted tail before appending resumes. No sync is
+    // needed: until the first group commit's sync makes the new length
+    // durable, a power loss only brings back the tail replay discards.
+    if (std::filesystem::file_size(path) > found.committed_bytes) {
+      std::filesystem::resize_file(path, found.committed_bytes);
+    }
+    size_ = found.committed_bytes;
   }
+  fd_ = open_log(path);
+  base_lsn_ = found.base_lsn;
   prealloc_limit_ = size_;
-  const std::uint64_t start_lsn = info.replayed > 0 ? info.last_lsn : base_lsn_;
-  staged_lsn_.store(start_lsn, std::memory_order_relaxed);
-  // flush() below writes through fd_ (the flusher starts after it), so the
-  // header/truncation point is on disk before the flusher takes over.
-  flush();
-  // A freshly-created file only survives power failure once its directory
-  // entry is durable too; at the sync durability levels, close that window
-  // here.
-  if (created && options_.durability != WalDurability::kOsCache) {
-    sync_parent_dir();
-  }
-  start_flusher();
-  return info;
-}
-
-void WriteAheadLog::start_flusher() {
+  staged_lsn_.store(found.last_lsn, std::memory_order_relaxed);
+  durable_lsn_.store(found.last_lsn, std::memory_order_relaxed);
+  queue_.clear();
+  flushes_ = 0;
+  flushed_bytes_ = 0;
+  inflight_items_ = 0;
+  inflight_bytes_ = 0;
+  in_callback_ = false;
+  running_ = true;
+  stopping_ = false;
+  failed_ = false;
+  error_.clear();
   if (options_.health != nullptr) {
-    // One heartbeat per flusher incarnation; the old handle was tombstoned
-    // in stop_flusher.
-    flusher_heartbeat_ = options_.health->register_thread(
+    heartbeat_ = options_.health->register_thread(
         options_.health_prefix + "wal_flusher", options_.health_partition);
   }
-  auto on_durable = [this](std::uint64_t lsn, const std::string* error) {
-    if (error == nullptr) {
-      // Monotone max (a restarted flusher re-seeds at the old staged LSN,
-      // never below the published watermark).
-      std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
-      while (cur < lsn && !durable_lsn_.compare_exchange_weak(
-                              cur, lsn, std::memory_order_release,
-                              std::memory_order_relaxed)) {
-      }
-    }
-    WalFlusher::DurableFn cb;
-    {
-      std::lock_guard lock(flusher_mu_);
-      cb = durable_cb_;
-    }
-    if (cb) cb(lsn, error);
-  };
-  auto flusher = std::make_shared<WalFlusher>(
-      path_, options_.durability, size_,
-      staged_lsn_.load(std::memory_order_relaxed), std::move(on_durable),
-      flusher_heartbeat_);
-  std::lock_guard lock(flusher_mu_);
-  flusher_ = std::move(flusher);
-}
-
-void WriteAheadLog::stop_flusher(bool swallow_errors) {
-  std::shared_ptr<WalFlusher> flusher;
-  {
-    std::lock_guard lock(flusher_mu_);
-    flusher = std::move(flusher_);
-    flusher_ = nullptr;
-  }
-  if (flusher == nullptr) return;
-  // stop() drains and joins with flusher_mu_ released: the flusher
-  // thread's durable-callback wrapper takes flusher_mu_. Fold the stopped
-  // flusher's counters + final watermark (its last *good* LSN even on a
-  // failure — never past what actually hit the disk) either way.
-  const auto fold = [&] {
-    const WalFlushStats s = flusher->stats();
-    acc_flushes_.fetch_add(s.flushes, std::memory_order_relaxed);
-    acc_flushed_bytes_.fetch_add(s.flushed_bytes, std::memory_order_relaxed);
-    const std::uint64_t final_lsn = flusher->durable_lsn();
-    std::uint64_t cur = durable_lsn_.load(std::memory_order_relaxed);
-    while (cur < final_lsn && !durable_lsn_.compare_exchange_weak(
-                                  cur, final_lsn, std::memory_order_release,
-                                  std::memory_order_relaxed)) {
-    }
-    // The flusher thread is joined by stop() on every path (failure
-    // included), so the heartbeat can be tombstoned here.
-    if (flusher_heartbeat_ != nullptr && options_.health != nullptr) {
-      options_.health->unregister(flusher_heartbeat_);
-      flusher_heartbeat_ = nullptr;
-    }
-  };
-  try {
-    flusher->stop(swallow_errors);
-  } catch (...) {
-    fold();
-    throw;
-  }
-  fold();
-}
-
-std::shared_ptr<WalFlusher> WriteAheadLog::flusher_snapshot() const {
-  std::lock_guard lock(flusher_mu_);
-  return flusher_;
+  thread_ = std::thread([this] { run(); });
+  return {found.records, found.last_lsn};
 }
 
 void WriteAheadLog::append(const WalFrame& frame) {
@@ -288,106 +221,53 @@ void WriteAheadLog::append(std::uint64_t lsn, const UpdateBatch& batch) {
   append(*WalFrame::encode(lsn, batch));
 }
 
-void WriteAheadLog::write_out(const unsigned char* data, std::size_t len) {
-  write_all_fd(fd_, data, len, path_);
-}
-
 void WriteAheadLog::flush() {
   if (fd_ < 0) throw std::runtime_error("WAL flush failed: " + path_);
-  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
-  if (flusher != nullptr) {
-    // A running flusher owns the append frontier (nothing goes through
-    // fd_): a full flush is submit-everything + wait-for-the-watermark.
-    commit_async();
-    flusher->wait_durable(staged_lsn_.load(std::memory_order_acquire));
-    return;
-  }
-  // No flusher: open()/compact() writing with it stopped.
-  if (!buf_.empty()) {
-    ensure_preallocated(buf_.size());
-    const std::size_t bytes = buf_.size();
-    write_out(buf_.data(), bytes);
-    size_ += bytes;
-    buf_.clear();
-    acc_flushes_.fetch_add(1, std::memory_order_relaxed);
-    acc_flushed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  sync_data();
-  durable_lsn_.store(staged_lsn_.load(std::memory_order_relaxed),
-                     std::memory_order_release);
+  commit_async();
+  wait_durable(staged_lsn_.load(std::memory_order_relaxed));
 }
 
 void WriteAheadLog::commit_async() {
   if (fd_ < 0) throw std::runtime_error("WAL commit failed: " + path_);
-  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
-  if (flusher == nullptr) {
-    flush();
-    return;
-  }
   if (buf_.empty()) return;
-  // Preallocation goes through fd_ — same inode the flusher writes to, so
-  // its extents land ahead of the flusher's append frontier all the same.
   ensure_preallocated(buf_.size());
-  std::vector<unsigned char> bytes;
-  bytes.swap(buf_);
-  size_ += bytes.size();  // staged: the flusher owns these offsets now
-  flusher->submit(std::move(bytes),
-                  staged_lsn_.load(std::memory_order_relaxed));
+  Flight flight;
+  flight.offset = size_;
+  flight.upto_lsn = staged_lsn_.load(std::memory_order_relaxed);
+  flight.bytes.swap(buf_);
+  size_ += flight.bytes.size();  // the flusher owns these offsets now
+  std::lock_guard lock(mu_);
+  if (failed_) throw std::runtime_error(error_);
+  inflight_bytes_ += flight.bytes.size();
+  ++inflight_items_;
+  queue_.push_back(std::move(flight));
+  work_cv_.notify_one();
 }
 
 void WriteAheadLog::wait_durable(std::uint64_t lsn) {
-  const std::uint64_t staged = staged_lsn_.load(std::memory_order_acquire);
-  if (lsn > staged) lsn = staged;
-  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return;
-  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
-  if (flusher != nullptr) flusher->wait_durable(lsn);
+  lsn = std::min(lsn, staged_lsn_.load(std::memory_order_acquire));
+  std::unique_lock lock(mu_);
+  done_cv_.wait(lock, [&] {
+    return failed_ || !running_ ||
+           (durable_lsn_.load(std::memory_order_relaxed) >= lsn &&
+            !in_callback_);
+  });
+  if (failed_) throw std::runtime_error(error_);
 }
 
-void WriteAheadLog::set_durable_callback(WalFlusher::DurableFn fn) {
-  std::lock_guard lock(flusher_mu_);
+void WriteAheadLog::set_durable_callback(DurableFn fn) {
+  std::lock_guard lock(mu_);
   durable_cb_ = std::move(fn);
 }
 
 WalFlushStats WriteAheadLog::flush_stats() const {
+  std::lock_guard lock(mu_);
   WalFlushStats out;
-  out.flushes = acc_flushes_.load(std::memory_order_relaxed);
-  out.flushed_bytes = acc_flushed_bytes_.load(std::memory_order_relaxed);
-  const std::shared_ptr<WalFlusher> flusher = flusher_snapshot();
-  if (flusher != nullptr) {
-    const WalFlushStats live = flusher->stats();
-    out.flushes += live.flushes;
-    out.flushed_bytes += live.flushed_bytes;
-    out.flush_depth = live.flush_depth;
-    out.inflight_bytes = live.inflight_bytes;
-  }
+  out.flushes = flushes_;
+  out.flushed_bytes = flushed_bytes_;
+  out.flush_depth = inflight_items_;
+  out.inflight_bytes = inflight_bytes_;
   return out;
-}
-
-void WriteAheadLog::sync_data() {
-  if (options_.durability == WalDurability::kFdatasync) {
-    if (::fdatasync(fd_) != 0) {
-      throw std::runtime_error("WAL fdatasync failed: " + path_);
-    }
-  } else if (options_.durability == WalDurability::kFsync) {
-    if (::fsync(fd_) != 0) {
-      throw std::runtime_error("WAL fsync failed: " + path_);
-    }
-  }
-}
-
-void WriteAheadLog::sync_parent_dir() const {
-  const std::string dir =
-      std::filesystem::path(path_).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) {
-    throw std::runtime_error("cannot fsync WAL directory for: " + path_);
-  }
-  const int rc = ::fsync(dfd);
-  ::close(dfd);
-  if (rc != 0) {
-    throw std::runtime_error("WAL directory fsync failed for: " + path_);
-  }
 }
 
 void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
@@ -409,17 +289,84 @@ void WriteAheadLog::ensure_preallocated(std::size_t upcoming) {
 #endif
 }
 
+// Double buffer: commit_async() appends to the pending queue; the flusher
+// swaps the whole queue out (the "other" buffer), pwrites every commit,
+// syncs ONCE for the swap, then publishes the watermark and fires the
+// callback. Backlog therefore compounds into larger group commits: the
+// deeper the durability pipeline falls behind, the more commits each sync
+// covers.
+void WriteAheadLog::run() {
+  CPKC_TRACE_THREAD_NAME("wal_flusher");
+  for (;;) {
+    std::deque<Flight> batch;
+    int fd = -1;
+    {
+      std::unique_lock lock(mu_);
+      // Parked on an empty queue is healthy, however long it lasts;
+      // stamped busy again the moment a swap starts.
+      if (heartbeat_ != nullptr && queue_.empty()) heartbeat_->idle();
+      work_cv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) break;  // stopping_, fully drained
+      batch.swap(queue_);
+      fd = fd_;  // compact() swaps fd_ only while nothing is in flight
+    }
+    if (heartbeat_ != nullptr) heartbeat_->busy();
+    std::uint64_t bytes_written = 0;
+    CPKC_TRACE_SPAN(flush_span, "wal_flush", batch.back().upto_lsn,
+                    batch.size());
+    try {
+      for (const Flight& f : batch) {
+        pwrite_all(fd, f.bytes.data(), f.bytes.size(), f.offset, path_);
+        bytes_written += f.bytes.size();
+      }
+      sync_fd(fd, options_.durability, path_);
+    } catch (const std::exception& e) {
+      fail(e.what());
+      return;
+    }
+    const std::uint64_t upto = batch.back().upto_lsn;
+    if (heartbeat_ != nullptr) heartbeat_->beat();
+    {
+      // The watermark goes up before the callback runs (the service's
+      // inline-ack check reads it lock-free), waiters wake after it.
+      std::lock_guard lock(mu_);
+      durable_lsn_.store(upto, std::memory_order_release);
+      in_callback_ = true;
+    }
+    if (durable_cb_) durable_cb_(upto, nullptr);
+    std::lock_guard lock(mu_);
+    in_callback_ = false;
+    flushes_ += 1;
+    flushed_bytes_ += bytes_written;
+    inflight_items_ -= batch.size();
+    inflight_bytes_ -= bytes_written;
+    done_cv_.notify_all();
+  }
+  std::lock_guard lock(mu_);
+  running_ = false;
+  done_cv_.notify_all();
+}
+
+void WriteAheadLog::fail(const std::string& what) {
+  std::uint64_t durable = 0;
+  {
+    std::lock_guard lock(mu_);
+    failed_ = true;
+    running_ = false;
+    error_ = what;
+    durable = durable_lsn_.load(std::memory_order_relaxed);
+    done_cv_.notify_all();
+  }
+  if (durable_cb_) durable_cb_(durable, &error_);
+}
+
 void WriteAheadLog::compact(std::uint64_t base_lsn) {
-  // Exclusive rewrite: drain + stop the flusher so no in-flight write can
-  // land in the old inode, the slurp below sees every submitted byte, and
-  // replace_file swaps a quiet inode. The flusher restarts at the new
-  // frontier below.
-  stop_flusher(/*swallow_errors=*/false);
-  flush();  // the scan below must see every appended record
+  // Drain: once the watermark covers staged_lsn() nothing is in flight,
+  // the file holds every appended record, and the flusher is parked.
+  flush();
   std::vector<unsigned char> image;
-  const std::vector<unsigned char> contents = slurp(path_);
   append_wal_header_v4(image, num_vertices_, base_lsn);
-  parse_committed_v4(contents.data(), contents.size(), path_, num_vertices_,
+  parse_committed_v4(slurp(path_), path_, num_vertices_,
                      [&](const WalFramePtr& f) {
                        if (f->lsn() > base_lsn) {
                          image.insert(image.end(), f->bytes().begin(),
@@ -427,41 +374,36 @@ void WriteAheadLog::compact(std::uint64_t base_lsn) {
                        }
                      });
   replace_file(path_, image);
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw std::runtime_error("cannot append to WAL: " + path_);
+  int old_fd = open_log(path_);
+  {
+    std::lock_guard lock(mu_);
+    std::swap(fd_, old_fd);
   }
+  ::close(old_fd);
   base_lsn_ = base_lsn;
   size_ = image.size();
   prealloc_limit_ = size_;
-  start_flusher();
 }
 
 void WriteAheadLog::close() {
-  // Best-effort drain of the flusher first (destructor path: errors are a
-  // lost cause here; flush()/commit_async() are the throwing paths).
-  stop_flusher(/*swallow_errors=*/true);
   if (fd_ < 0) return;
-  // Best-effort final push of buffered records; close() runs from the
-  // destructor, so IO errors are swallowed here (flush() is the throwing
-  // path and every group commit goes through it).
-  if (!buf_.empty()) {
-    const unsigned char* data = buf_.data();
-    std::size_t len = buf_.size();
-    while (len > 0) {
-      const ssize_t n = ::write(fd_, data, len);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      data += n;
-      len -= static_cast<std::size_t>(n);
-    }
-    buf_.clear();
+  try {
+    commit_async();
+  } catch (const std::exception&) {
+  }
+  {
+    std::lock_guard lock(mu_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  if (thread_.joinable()) thread_.join();
+  if (heartbeat_ != nullptr) {
+    options_.health->unregister(heartbeat_);
+    heartbeat_ = nullptr;
   }
   ::close(fd_);
   fd_ = -1;
+  buf_.clear();
 }
 
 WalScanInfo scan_wal(const std::string& path, vertex_t num_vertices,
@@ -478,12 +420,8 @@ WalScanInfo scan_wal_frames(const std::string& path, vertex_t num_vertices,
   namespace fs = std::filesystem;
   WalScanInfo info;
   if (!fs::exists(path) || fs::file_size(path) == 0) return info;
-  const std::vector<unsigned char> contents = slurp(path);
-  if (!starts_with(contents, kWalMagicV4)) {
-    throw std::runtime_error("bad WAL header in " + path);
-  }
-  const ParsedV4 parsed = parse_committed_v4(
-      contents.data(), contents.size(), path, num_vertices, on_frame);
+  const ParsedV4 parsed =
+      parse_committed_v4(slurp(path), path, num_vertices, on_frame);
   info.records = parsed.records;
   info.base_lsn = parsed.base_lsn;
   info.last_lsn = parsed.last_lsn;
@@ -492,19 +430,12 @@ WalScanInfo scan_wal_frames(const std::string& path, vertex_t num_vertices,
 }
 
 WalHeaderInfo read_wal_header(const std::string& path) {
-  namespace fs = std::filesystem;
-  if (!fs::exists(path) || fs::file_size(path) == 0) {
-    throw std::runtime_error("missing or empty WAL: " + path);
-  }
-  const std::vector<unsigned char> contents = slurp(path);
-  if (!starts_with(contents, kWalMagicV4) ||
-      contents.size() < kWalHeaderV4Bytes) {
-    throw std::runtime_error("bad WAL header in " + path);
-  }
-  WalHeaderInfo info;
-  info.num_vertices = get_u32(contents.data() + 12);
-  info.base_lsn = get_u64(contents.data() + 16);
-  return info;
+  unsigned char header[kWalHeaderV4Bytes];
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(header), sizeof header);
+  const auto got = static_cast<std::size_t>(in.gcount());
+  if (got == 0) throw std::runtime_error("missing or empty WAL: " + path);
+  return parse_header(header, got, path);
 }
 
 }  // namespace cpkcore::service

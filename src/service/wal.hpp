@@ -1,7 +1,8 @@
 // Write-ahead log for the serving layer: every coalesced batch is appended
 // (one self-delimiting record per batch) and the whole drain cycle is
-// flushed once — group commit — *before* the batch is applied to the CPLDS,
-// so a restart can replay exactly the committed prefix of accepted work.
+// committed once — group commit — *before* the batch is applied to the
+// CPLDS, so a restart can replay exactly the committed prefix of accepted
+// work.
 //
 // Every batch carries a log sequence number (LSN), assigned monotonically by
 // the service. The LSN is the cluster layer's replication cursor: replicas
@@ -12,7 +13,7 @@
 // header (magic "cpkc-wal-v4\n", num_vertices, base_lsn) followed by
 // length-prefixed, CRC32-trailered binary WalFrames.
 // append(const WalFrame&) is a buffered memcpy of bytes the apply thread
-// encoded exactly once — the same bytes the shipper ring retains and
+// encoded exactly once — the same bytes the log shipper fans out and
 // replicas decode.
 //
 // `base_lsn` is the LSN as of the last compaction: the log holds exactly
@@ -31,53 +32,83 @@
 //              (file length of an append-only log is data, so fdatasync
 //              suffices for the record payload)
 //   kFsync     fsync(2) per group commit — fdatasync plus metadata
-// At those two levels the parent directory is also fsynced on create and
-// compact(), so a freshly-created or just-compacted log's
-// directory entry itself survives power failure (previously a documented
-// gap: a crash in that window lost the whole file).
+// Whole-file replacements (creating a log, compacting it, publishing a
+// snapshot) go through publish_file(): temp file, fsync, rename, directory
+// fsync, so the file's name and contents survive power failure at every
+// level.
+//
+// One writer. An open log owns exactly one fd (not O_APPEND: Linux ignores
+// pwrite offsets on O_APPEND fds) and one flusher thread, from open() to
+// close(). commit_async() hands the buffered bytes, tagged with their file
+// offset, to the flusher and returns at once; the flusher swaps out the
+// queue of pending commits (double buffer), pwrite(2)s them, syncs ONCE
+// per swap — so backlogged commits batch into one sync, group commit
+// compounding under load — and advances the durable watermark:
+//
+//   apply thread ──commit_async()──▶ queue ──▶ flusher thread ──▶ disk
+//                                              durable callback, then
+//                                              wait_durable waiters wake
+//
+// The *staged* LSN (everything appended) runs ahead of the *durable* LSN
+// watermark (everything the flusher completed); wait_durable() bridges the
+// two, and flush() is commit_async() + wait_durable(). compact() drains the
+// queue, rewrites the file and swaps the fd under the flusher's mutex with
+// nothing in flight; close() commits the buffered tail and stops the thread.
+//
+// Completion-callback ordering contract: durable_lsn() is published just
+// before the durable callback runs, and wait_durable waiters wake only after
+// it returns, so "wait_durable(L) returned" implies "every completion
+// callback for LSNs <= L has finished" — the service relies on this to make
+// shutdown's final drain leave no ack in flight. A write or sync failure
+// surfaces once through the callback (error != nullptr) and then from every
+// later commit_async()/flush()/wait_durable() as std::runtime_error; the
+// watermark never advances past the failure.
 //
 // The segment is preallocated ahead of the append frontier
 // (fallocate FALLOC_FL_KEEP_SIZE, in fixed 4 MiB steps),
 // so group commits extend into reserved extents instead of paying block
 // allocation on the latency path; logical file size is unaffected.
-//
-// Pipelined commit (see wal_async.hpp): an open log runs a WalFlusher
-// thread, and commit_async() hands the buffered bytes to it and returns
-// immediately — the *staged* LSN (everything appended) runs ahead of the
-// *durable* LSN watermark (everything the flusher completed),
-// wait_durable() bridges the two, and the durable callback fires as the
-// watermark advances. flush() is commit_async() + wait_durable(). The
-// flusher owns its own non-O_APPEND fd and explicit offsets, so the log
-// routes every byte through it; compact() and close() drain and stop the
-// flusher around their exclusive rewrites (compact() restarts it after).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/batch.hpp"
-#include "service/wal_async.hpp"
 #include "service/wal_codec.hpp"
 #include "util/types.hpp"
 
 namespace cpkcore::obs {
 class HealthMonitor;
+class HealthComponent;
 }  // namespace cpkcore::obs
 
 namespace cpkcore::service {
+
+/// What a group commit pushes the cycle's records to (see file header).
+enum class WalDurability { kOsCache, kFdatasync, kFsync };
+
+/// Flush-pipeline counters and gauges (ServiceStats surfaces them).
+struct WalFlushStats {
+  std::uint64_t flushes = 0;        ///< completed flushes (syncs)
+  std::uint64_t flushed_bytes = 0;  ///< bytes made durable by those flushes
+  std::size_t flush_depth = 0;      ///< gauge: commits submitted, not done
+  std::size_t inflight_bytes = 0;   ///< gauge: bytes of those commits
+};
 
 struct WalOptions {
   WalDurability durability = WalDurability::kOsCache;
 
   /// Health plane (optional): with a monitor set, the log registers a
   /// heartbeat component "<health_prefix>wal_flusher" for the flusher
-  /// thread each time a flusher starts, and tombstones it when the flusher
-  /// stops — so a flusher wedged behind a hung disk classifies stalled.
+  /// thread at open() and tombstones it at close() — so a flusher wedged
+  /// behind a hung disk classifies stalled.
   obs::HealthMonitor* health = nullptr;
   std::string health_prefix;  ///< usually "" or "p<p>."
   int health_partition = -1;  ///< partition id for rollups (-1 = none)
@@ -96,23 +127,30 @@ struct WalOpenInfo {
 
 class WriteAheadLog {
  public:
+  /// (new durable watermark, nullptr) on success; (last good watermark,
+  /// &message) once on failure. Runs on the flusher thread; see the
+  /// ordering contract in the file header.
+  using DurableFn =
+      std::function<void(std::uint64_t durable_lsn, const std::string* error)>;
+
   WriteAheadLog() = default;
   ~WriteAheadLog() { close(); }
 
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Opens the log at `path` for an n-vertex structure. If the file exists,
-  /// replays every committed batch through `on_batch` (in append order),
-  /// truncates any uncommitted tail, and positions for appending;
-  /// otherwise creates the file with a fresh header (base LSN 0). Throws
+  /// Opens the log at `path` for an n-vertex structure and starts its
+  /// flusher thread. If the file exists and is non-empty, replays every
+  /// committed batch through `on_batch` (in append order), truncates any
+  /// uncommitted tail, and positions for appending; otherwise creates the
+  /// file with a fresh header (base LSN 0) through publish_file(). Throws
   /// std::runtime_error on IO errors or a vertex-count / magic mismatch.
   WalOpenInfo open(const std::string& path, vertex_t num_vertices,
                    const WalReplayFn& on_batch, WalOptions options = {});
 
   /// Appends one pre-encoded frame (buffered — not committed until
-  /// flush()). The encode-once path: the caller encoded the batch, and the
-  /// identical bytes go to disk here and to the shipper ring.
+  /// commit_async()/flush()). The encode-once path: the caller encoded the
+  /// batch, and the identical bytes go to disk here and to the shipper.
   void append(const WalFrame& frame);
 
   /// Appends one batch record under `lsn` (buffered), encoding a frame
@@ -130,7 +168,8 @@ class WriteAheadLog {
   /// Pipelined group commit: hands the buffered records to the flusher and
   /// returns without waiting for the disk — the durable-LSN watermark
   /// advances (and the durable callback fires) when the flusher completes
-  /// them. Throws after a flusher failure.
+  /// them. Never waits: the queue is unbounded (the service stages one
+  /// commit per drain cycle). Throws after a flusher failure.
   void commit_async();
 
   /// Last LSN handed to append() (runs ahead of durable_lsn() while
@@ -145,19 +184,19 @@ class WriteAheadLog {
     return durable_lsn_.load(std::memory_order_acquire);
   }
 
-  /// Blocks until durable_lsn() >= min(lsn, staged_lsn()) — the clamp
-  /// makes "wait for everything appended so far" spelled wait_durable(~0)
-  /// safe. Callable from any thread concurrently with commits. Throws
-  /// std::runtime_error if the flusher failed.
+  /// Blocks until durable_lsn() >= min(lsn, staged_lsn()) and the durable
+  /// callback that got it there has returned — the clamp makes "wait for
+  /// everything appended so far" spelled wait_durable(~0) safe. Callable
+  /// from any thread concurrently with commits; returns at once on a closed
+  /// log. Throws std::runtime_error if the flusher failed.
   void wait_durable(std::uint64_t lsn);
 
   /// Replaces the durable callback (fires on the flusher thread, *before*
-  /// wait_durable waiters wake — see wal_async.hpp). Call before the first
-  /// commit_async().
-  void set_durable_callback(WalFlusher::DurableFn fn);
+  /// wait_durable waiters wake — see the file header). Call before the
+  /// first commit_async().
+  void set_durable_callback(DurableFn fn);
 
-  /// Flush-pipeline counters, accumulated across flusher restarts
-  /// (compact()) and including the header write open() makes.
+  /// Flush-pipeline counters since open().
   [[nodiscard]] WalFlushStats flush_stats() const;
 
   /// Compaction preserving the suffix: atomically rewrites the log so it
@@ -166,10 +205,14 @@ class WriteAheadLog {
   /// primitive: the snapshot covers (…, base_lsn] while updates kept
   /// committing past it, and only the (small) suffix is rewritten — the
   /// pause is proportional to the records committed since the cut, not to
-  /// the structure size. Buffered appends are flushed first. Exclusive use
-  /// only (no concurrent append/flush).
+  /// the structure size. Buffered appends are flushed first; the flusher
+  /// thread keeps running. Exclusive use only (no concurrent
+  /// append/commit).
   void compact(std::uint64_t base_lsn);
 
+  /// Commits the buffered tail, drains the queue and stops the flusher
+  /// thread. Errors are swallowed (this runs from the destructor; flush()
+  /// is the throwing path).
   void close();
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
@@ -177,53 +220,65 @@ class WriteAheadLog {
   [[nodiscard]] std::uint64_t base_lsn() const { return base_lsn_; }
 
  private:
-  void write_out(const unsigned char* data, std::size_t len);
-  void sync_data();
-  void sync_parent_dir() const;
-  void ensure_preallocated(std::size_t upcoming);
-  /// Builds + starts a flusher at the current append frontier (call only
-  /// with no bytes in flight: right after open/compact).
-  void start_flusher();
-  /// Drains, detaches, and stops the flusher, folding its counters into
-  /// the accumulated totals. No-op when none is running.
-  void stop_flusher(bool swallow_errors);
-  [[nodiscard]] std::shared_ptr<WalFlusher> flusher_snapshot() const;
+  /// One commit: bytes bound for file offset `offset`, covering every
+  /// record up to and including `upto_lsn`.
+  struct Flight {
+    std::uint64_t offset = 0;
+    std::uint64_t upto_lsn = 0;
+    std::vector<unsigned char> bytes;
+  };
 
+  void run();  ///< the flusher thread
+  void fail(const std::string& what);
+  void ensure_preallocated(std::size_t upcoming);
+
+  // Owned by the thread that opens, appends, commits, compacts and closes
+  // (the service's apply thread, under its apply lock).
   std::string path_;
   vertex_t num_vertices_ = 0;
   std::uint64_t base_lsn_ = 0;
   WalOptions options_;
-  int fd_ = -1;
+  int fd_ = -1;  ///< also written under mu_ (the flusher reads it there)
   std::vector<unsigned char> buf_;  ///< records awaiting the group commit
-  std::uint64_t size_ = 0;  ///< logical file size (flushed + staged bytes)
+  std::uint64_t size_ = 0;  ///< append frontier: flushed + submitted bytes
   std::uint64_t prealloc_limit_ = 0;  ///< extent frontier already reserved
-
-  /// Flusher thread's health handle (tombstoned in stop_flusher; a fresh
-  /// one is registered per flusher start).
-  obs::HealthComponent* flusher_heartbeat_ = nullptr;
-  /// Running flusher (null while closed and during exclusive rewrites).
-  /// The pointer swap is under flusher_mu_; cross-thread readers snapshot
-  /// the shared_ptr and never hold flusher_mu_ across a flusher call that
-  /// can block (stop() runs with flusher_mu_ released — the flusher thread
-  /// takes flusher_mu_ in the durable-callback wrapper).
-  std::shared_ptr<WalFlusher> flusher_;
-  mutable std::mutex flusher_mu_;
-  WalFlusher::DurableFn durable_cb_;  ///< under flusher_mu_
+  obs::HealthComponent* heartbeat_ = nullptr;  ///< the flusher's, if any
   std::atomic<std::uint64_t> staged_lsn_{0};
-  std::atomic<std::uint64_t> durable_lsn_{0};
-  /// Counters folded across flusher restarts + header writes (relaxed:
-  /// monotone stats, read by flush_stats from any thread).
-  std::atomic<std::uint64_t> acc_flushes_{0};
-  std::atomic<std::uint64_t> acc_flushed_bytes_{0};
+
+  // Shared with the flusher thread.
+  std::atomic<std::uint64_t> durable_lsn_{0};  ///< stored under mu_
+  DurableFn durable_cb_;  ///< set under mu_, before the first commit
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<Flight> queue_;        // under mu_ (the "front" buffer)
+  std::uint64_t flushes_ = 0;       // under mu_
+  std::uint64_t flushed_bytes_ = 0;   // under mu_
+  std::size_t inflight_items_ = 0;    // under mu_
+  std::size_t inflight_bytes_ = 0;    // under mu_
+  bool in_callback_ = false;  // under mu_: the durable callback is running
+  bool running_ = false;      // under mu_: the flusher has not exited
+  bool stopping_ = false;     // under mu_
+  bool failed_ = false;       // under mu_
+  std::string error_;         // under mu_
+  std::thread thread_;
 };
+
+/// Durably publishes `tmp` — fully written and closed — as `path`: fsyncs
+/// the file, renames it over `path`, and fsyncs the parent directory, so a
+/// power loss afterwards leaves the complete new file under `path`. The
+/// WAL's create and compaction and the service's snapshot publish all go
+/// through it. Throws std::runtime_error on failure.
+void publish_file(const std::string& tmp, const std::string& path);
 
 /// What scan_wal() / scan_wal_frames() found.
 struct WalScanInfo {
   std::size_t records = 0;
   std::uint64_t base_lsn = 0;
   std::uint64_t last_lsn = 0;
-  /// Bytes of the committed prefix, header included. Anything past this is
-  /// a torn or corrupt tail (walcat --verify compares against file size).
+  /// Bytes of the committed prefix, header included (0 for a missing or
+  /// empty file). Anything past this is a torn or corrupt tail (walcat
+  /// --verify compares against file size).
   std::uint64_t committed_bytes = 0;
 };
 
@@ -248,8 +303,8 @@ struct WalHeaderInfo {
   std::uint64_t base_lsn = 0;
 };
 
-/// Reads a WAL's header. Throws std::runtime_error on a missing/empty file
-/// or unrecognized magic.
+/// Reads a WAL's 24-byte header only. Throws std::runtime_error on a
+/// missing/empty file or unrecognized magic.
 WalHeaderInfo read_wal_header(const std::string& path);
 
 }  // namespace cpkcore::service

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -56,6 +57,16 @@ std::set<std::uint64_t> edge_keys(const KCoreService& svc) {
     }
   }
   return keys;
+}
+
+/// Exact coreness of the service's current edge set (the peeling oracle).
+std::vector<vertex_t> exact_coreness_of(const KCoreService& svc) {
+  DynamicGraph mirror(svc.num_vertices());
+  for (std::uint64_t key : edge_keys(svc)) {
+    mirror.insert_edge({static_cast<vertex_t>(key >> 32),
+                        static_cast<vertex_t>(key & 0xffffffffu)});
+  }
+  return exact_coreness(mirror);
 }
 
 TEST(Service, SingleClientInsertAndRead) {
@@ -339,8 +350,8 @@ TEST(Service, WalCloseAppendsUnflushedTailAfterFlushedRecords) {
 }
 
 TEST(Service, WalTreatsEmptyFileAsFresh) {
-  // A crash inside reset()'s truncate-then-header window leaves a zero-byte
-  // file; restart must not be bricked by it.
+  // A zero-byte file is outside input (nothing this log writes leaves
+  // one); restart must not be bricked by it.
   TempPath wal("empty.wal");
   { std::ofstream out(wal.str()); }  // create empty
   WriteAheadLog log;
@@ -358,6 +369,106 @@ TEST(Service, WalTreatsEmptyFileAsFresh) {
                 .replayed,
             1u);
   EXPECT_EQ(count, 1u);
+}
+
+TEST(Service, WalLifeCycleCompactAndCloseAllDurabilities) {
+  // One log's whole life on its one fd and flusher thread: create, commit,
+  // compact with a commit still in flight, append past the cut, close with
+  // an unflushed tail, reopen. The durable callback parks the flusher on
+  // LSN 2 until a helper thread opens the gate, so LSN 3 is queued behind
+  // it when compact() starts: compact() must drain it before the rewrite
+  // and the fd swap.
+  const auto edge = [](vertex_t v) {
+    return UpdateBatch{UpdateKind::kInsert, {{v, v + 1}}};
+  };
+  for (WalDurability level :
+       {WalDurability::kOsCache, WalDurability::kFdatasync,
+        WalDurability::kFsync}) {
+    TempPath wal("life.wal");
+    service::WalOptions options;
+    options.durability = level;
+    {
+      WriteAheadLog log;
+      EXPECT_EQ(log.open(wal.str(), 50, nullptr, options).replayed, 0u);
+      std::atomic<bool> parked{false};
+      std::atomic<bool> gate{false};
+      std::atomic<std::uint64_t> notified{0};
+      log.set_durable_callback([&](std::uint64_t lsn, const std::string*) {
+        if (lsn == 2) parked.store(true);
+        while (lsn == 2 && !gate.load()) std::this_thread::yield();
+        notified.store(lsn);
+      });
+      log.append(1, edge(1));
+      log.flush();
+      const std::uint64_t flushes = log.flush_stats().flushes;
+      log.append(2, edge(2));
+      log.commit_async();
+      while (!parked.load()) std::this_thread::yield();
+      log.append(3, edge(3));
+      log.commit_async();
+      std::thread opener([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        gate.store(true);
+      });
+      log.compact(1);
+      opener.join();
+      EXPECT_EQ(log.base_lsn(), 1u);
+      EXPECT_EQ(log.durable_lsn(), 3u);
+      EXPECT_EQ(notified.load(), 3u);
+      EXPECT_GT(log.flush_stats().flushes, flushes);
+      log.append(4, edge(4));
+      log.flush();
+      EXPECT_EQ(notified.load(), 4u);
+      log.append(5, edge(5));
+      log.close();
+    }
+    EXPECT_FALSE(std::filesystem::exists(wal.str() + ".rewrite"));
+    std::vector<std::uint64_t> lsns;
+    WriteAheadLog reopened;
+    const auto info = reopened.open(
+        wal.str(), 50,
+        [&](std::uint64_t lsn, const UpdateBatch&) { lsns.push_back(lsn); },
+        options);
+    EXPECT_EQ(lsns, (std::vector<std::uint64_t>{2, 3, 4, 5}))
+        << "durability level " << static_cast<int>(level);
+    EXPECT_EQ(info.last_lsn, 5u);
+    EXPECT_EQ(reopened.base_lsn(), 1u);
+  }
+}
+
+TEST(Service, CheckpointLeavesNoTempFilesAndRestartKeepsCoreness) {
+  // checkpoint() publishes the snapshot through publish_file() (fsync,
+  // rename, directory fsync) before it compacts the WAL. A power loss
+  // cannot be simulated here; what is checkable is that no temp file is
+  // left behind and that a restart rebuilds the same graph, so the same
+  // exact coreness.
+  constexpr vertex_t kN = 250;
+  const auto edges = gen::barabasi_albert(kN, 4, 61);
+  TempPath wal("ckpt.wal");
+  TempPath snap("ckpt.snap");
+  ServiceConfig cfg;
+  cfg.num_vertices = kN;
+  cfg.wal_path = wal.str();
+  cfg.snapshot_path = snap.str();
+  cfg.wal_durability = WalDurability::kFdatasync;
+  std::vector<vertex_t> before;
+  {
+    KCoreService svc(cfg);
+    for (const Edge& e : edges) svc.submit_insert(e.u, e.v);
+    svc.drain();
+    svc.checkpoint();
+    EXPECT_FALSE(std::filesystem::exists(snap.str() + ".tmp"));
+    EXPECT_FALSE(std::filesystem::exists(wal.str() + ".rewrite"));
+    for (std::size_t i = 0; i < edges.size(); i += 3) {
+      svc.submit_delete(edges[i].u, edges[i].v);
+    }
+    svc.drain();
+    before = exact_coreness_of(svc);
+    svc.simulate_crash();
+  }
+  KCoreService svc(cfg);
+  EXPECT_EQ(exact_coreness_of(svc), before);
+  svc.shutdown();
 }
 
 /// Writes a fresh two-record binary log; returns the file size after the
@@ -487,14 +598,7 @@ TEST(Service, SnapshotCompactionEquivalence) {
   EXPECT_EQ(edge_keys(svc), before);
 
   // Coreness estimates after restart stay within the paper's bound.
-  DynamicGraph mirror(kN);
-  const PLDS& plds = svc.cplds().plds();
-  for (vertex_t v = 0; v < kN; ++v) {
-    for (vertex_t w : plds.neighbors(v)) {
-      if (w > v) mirror.insert_edge({v, w});
-    }
-  }
-  const auto exact = exact_coreness(mirror);
+  const auto exact = exact_coreness_of(svc);
   const double bound = (2.0 + 3.0 / 9.0) * 1.44;
   for (vertex_t v = 0; v < kN; ++v) {
     const double est = svc.read_coreness(v);
@@ -661,9 +765,9 @@ TEST(Service, AckNeverPrecedesDurabilityAtSyncLevels) {
 }
 
 TEST(Service, AsyncCompactPreservesUnshippedSuffixAllDurabilities) {
-  // checkpoint() stops and restarts the engine around the WAL compaction;
-  // records committed after the cut must survive in the compacted log and
-  // replay on reopen, at every durability level.
+  // checkpoint() compacts the WAL under the running flusher; records
+  // committed after the cut must survive in the compacted log and replay
+  // on reopen, at every durability level.
   constexpr vertex_t kN = 250;
   const auto phase_a = gen::barabasi_albert(kN, 4, 51);
   const auto phase_b = gen::erdos_renyi(kN, 500, 52);
