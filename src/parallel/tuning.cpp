@@ -15,7 +15,7 @@ std::size_t env_grain() {
   return 2048;
 }
 
-// 0 means "not yet resolved"; resolved values are always >= 1.
+// 0 means "not yet resolved" (sort: "no override"); set values are >= 1.
 std::atomic<std::size_t> g_serial_cutoff{0};
 std::atomic<std::size_t> g_sort_cutoff{0};
 
@@ -31,13 +31,10 @@ std::size_t serial_cutoff() {
 }
 
 std::size_t sort_serial_cutoff() {
-  std::size_t v = g_sort_cutoff.load(std::memory_order_relaxed);
-  if (v == 0) {
-    // Scales with serial_cutoff(), so CPKC_GRAIN shrinks every cutoff.
-    v = 8 * serial_cutoff();
-    g_sort_cutoff.store(v, std::memory_order_relaxed);
-  }
-  return v;
+  const std::size_t v = g_sort_cutoff.load(std::memory_order_relaxed);
+  // Not cached: follows serial_cutoff(), so CPKC_GRAIN and
+  // set_serial_cutoff() shrink every cutoff.
+  return v != 0 ? v : 8 * serial_cutoff();
 }
 
 void set_serial_cutoff(std::size_t cutoff) {

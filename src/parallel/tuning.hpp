@@ -29,7 +29,8 @@ std::size_t sort_serial_cutoff();
 /// Overrides serial_cutoff() for this process (0 = back to env/default).
 void set_serial_cutoff(std::size_t cutoff);
 
-/// Overrides sort_serial_cutoff() for this process (0 = back to env/default).
+/// Overrides sort_serial_cutoff() for this process (0 = back to
+/// 8 x serial_cutoff()).
 void set_sort_serial_cutoff(std::size_t cutoff);
 
 }  // namespace cpkcore

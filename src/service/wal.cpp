@@ -181,15 +181,23 @@ WalOpenInfo WriteAheadLog::open(const std::string& path,
     replace_file(path, header);
     size_ = header.size();
   } else {
-    // Truncate the uncommitted tail before appending resumes. No sync is
-    // needed: until the first group commit's sync makes the new length
-    // durable, a power loss only brings back the tail replay discards.
+    // Truncate the uncommitted tail before appending resumes.
     if (std::filesystem::file_size(path) > found.committed_bytes) {
       std::filesystem::resize_file(path, found.committed_bytes);
     }
     size_ = found.committed_bytes;
   }
-  fd_ = open_log(path);
+  const int fd = open_log(path);
+  try {
+    // The replayed records may still sit only in the page cache (a crash
+    // between the flusher's pwrite and its sync); sync them, and the
+    // truncation, before durable_lsn() reports them durable.
+    sync_fd(fd, options_.durability, path);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  fd_ = fd;
   base_lsn_ = found.base_lsn;
   prealloc_limit_ = size_;
   staged_lsn_.store(found.last_lsn, std::memory_order_relaxed);
@@ -373,8 +381,19 @@ void WriteAheadLog::compact(std::uint64_t base_lsn) {
                                       f->bytes().end());
                        }
                      });
-  replace_file(path_, image);
-  int old_fd = open_log(path_);
+  int old_fd = -1;
+  try {
+    replace_file(path_, image);
+    old_fd = open_log(path_);
+  } catch (const std::exception& e) {
+    // fd_ may now point at the replaced, unlinked file: poison the log so
+    // every later commit throws instead of being acked into it.
+    std::lock_guard lock(mu_);
+    failed_ = true;
+    error_ = e.what();
+    done_cv_.notify_all();
+    throw;
+  }
   {
     std::lock_guard lock(mu_);
     std::swap(fd_, old_fd);

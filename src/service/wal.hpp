@@ -142,7 +142,9 @@ class WriteAheadLog {
   /// Opens the log at `path` for an n-vertex structure and starts its
   /// flusher thread. If the file exists and is non-empty, replays every
   /// committed batch through `on_batch` (in append order), truncates any
-  /// uncommitted tail, and positions for appending; otherwise creates the
+  /// uncommitted tail, syncs the file at the configured level (so replayed
+  /// records are durable before durable_lsn() covers them), and positions
+  /// for appending; otherwise creates the
   /// file with a fresh header (base LSN 0) through publish_file(). Throws
   /// std::runtime_error on IO errors or a vertex-count / magic mismatch.
   WalOpenInfo open(const std::string& path, vertex_t num_vertices,
@@ -207,7 +209,7 @@ class WriteAheadLog {
   /// pause is proportional to the records committed since the cut, not to
   /// the structure size. Buffered appends are flushed first; the flusher
   /// thread keeps running. Exclusive use only (no concurrent
-  /// append/commit).
+  /// append/commit). A failure poisons the log: later commits throw.
   void compact(std::uint64_t base_lsn);
 
   /// Commits the buffered tail, drains the queue and stops the flusher

@@ -59,16 +59,6 @@ std::set<std::uint64_t> edge_keys(const KCoreService& svc) {
   return keys;
 }
 
-/// Exact coreness of the service's current edge set (the peeling oracle).
-std::vector<vertex_t> exact_coreness_of(const KCoreService& svc) {
-  DynamicGraph mirror(svc.num_vertices());
-  for (std::uint64_t key : edge_keys(svc)) {
-    mirror.insert_edge({static_cast<vertex_t>(key >> 32),
-                        static_cast<vertex_t>(key & 0xffffffffu)});
-  }
-  return exact_coreness(mirror);
-}
-
 TEST(Service, SingleClientInsertAndRead) {
   ServiceConfig cfg;
   cfg.num_vertices = 300;
@@ -436,39 +426,27 @@ TEST(Service, WalLifeCycleCompactAndCloseAllDurabilities) {
   }
 }
 
-TEST(Service, CheckpointLeavesNoTempFilesAndRestartKeepsCoreness) {
-  // checkpoint() publishes the snapshot through publish_file() (fsync,
-  // rename, directory fsync) before it compacts the WAL. A power loss
-  // cannot be simulated here; what is checkable is that no temp file is
-  // left behind and that a restart rebuilds the same graph, so the same
-  // exact coreness.
-  constexpr vertex_t kN = 250;
-  const auto edges = gen::barabasi_albert(kN, 4, 61);
-  TempPath wal("ckpt.wal");
-  TempPath snap("ckpt.snap");
-  ServiceConfig cfg;
-  cfg.num_vertices = kN;
-  cfg.wal_path = wal.str();
-  cfg.snapshot_path = snap.str();
-  cfg.wal_durability = WalDurability::kFdatasync;
-  std::vector<vertex_t> before;
+TEST(Service, WalFailedCompactionPoisonsTheLog) {
+  // A compaction that fails part-way may leave the fd on a file no longer
+  // under the log's name, so the log must refuse later commits rather than
+  // ack them. Here the rewrite cannot be created (a directory is in its way).
+  TempPath wal("poison.wal");
+  TempPath blocker("poison.wal.rewrite");
   {
-    KCoreService svc(cfg);
-    for (const Edge& e : edges) svc.submit_insert(e.u, e.v);
-    svc.drain();
-    svc.checkpoint();
-    EXPECT_FALSE(std::filesystem::exists(snap.str() + ".tmp"));
-    EXPECT_FALSE(std::filesystem::exists(wal.str() + ".rewrite"));
-    for (std::size_t i = 0; i < edges.size(); i += 3) {
-      svc.submit_delete(edges[i].u, edges[i].v);
-    }
-    svc.drain();
-    before = exact_coreness_of(svc);
-    svc.simulate_crash();
+    WriteAheadLog log;
+    log.open(wal.str(), 50, nullptr);
+    log.append(1, UpdateBatch{UpdateKind::kInsert, {{1, 2}}});
+    log.flush();
+    std::filesystem::create_directory(blocker.str());
+    EXPECT_THROW(log.compact(1), std::runtime_error);
+    log.append(2, UpdateBatch{UpdateKind::kInsert, {{2, 3}}});
+    EXPECT_THROW(log.flush(), std::runtime_error);
+    EXPECT_THROW(log.wait_durable(1), std::runtime_error);
+    log.close();
   }
-  KCoreService svc(cfg);
-  EXPECT_EQ(exact_coreness_of(svc), before);
-  svc.shutdown();
+  WriteAheadLog reopened;
+  EXPECT_EQ(reopened.open(wal.str(), 50, nullptr).last_lsn, 1u);
+  EXPECT_EQ(reopened.base_lsn(), 0u);
 }
 
 /// Writes a fresh two-record binary log; returns the file size after the
@@ -584,7 +562,12 @@ TEST(Service, SnapshotCompactionEquivalence) {
     { std::ofstream garbage(snap.str() + ".tmp"); garbage << "torn"; }
     svc.checkpoint();  // snapshot phase A (atomic rename), truncate the WAL
     EXPECT_FALSE(std::filesystem::exists(snap.str() + ".tmp"));
+    EXPECT_FALSE(std::filesystem::exists(wal.str() + ".rewrite"));
     for (const Edge& e : phase_b) svc.submit_insert(e.u, e.v);
+    // Deletions past the cut must replay over the snapshot too.
+    for (std::size_t i = 0; i < phase_a.size(); i += 3) {
+      svc.submit_delete(phase_a[i].u, phase_a[i].v);
+    }
     svc.drain();
     before = edge_keys(svc);
     svc.simulate_crash();
@@ -594,11 +577,19 @@ TEST(Service, SnapshotCompactionEquivalence) {
   cfg.wal_path = wal.str();
   cfg.snapshot_path = snap.str();
   KCoreService svc(cfg);
-  // Warm restart = snapshot (phase A) + WAL suffix (phase B only).
+  // Warm restart = snapshot (phase A) + WAL suffix (phase B and the
+  // deletions only).
   EXPECT_EQ(edge_keys(svc), before);
 
   // Coreness estimates after restart stay within the paper's bound.
-  const auto exact = exact_coreness_of(svc);
+  DynamicGraph mirror(kN);
+  const PLDS& plds = svc.cplds().plds();
+  for (vertex_t v = 0; v < kN; ++v) {
+    for (vertex_t w : plds.neighbors(v)) {
+      if (w > v) mirror.insert_edge({v, w});
+    }
+  }
+  const auto exact = exact_coreness(mirror);
   const double bound = (2.0 + 3.0 / 9.0) * 1.44;
   for (vertex_t v = 0; v < kN; ++v) {
     const double est = svc.read_coreness(v);
