@@ -22,9 +22,10 @@ struct UpdateBatch {
 /// the same kind form one sub-batch).
 std::vector<UpdateBatch> split_batches(const std::vector<Update>& updates);
 
-/// In-place normalization of one homogeneous batch's edge list, shared by
-/// the PLDS update path and the serving layer's coalescer/WAL: endpoints
-/// canonicalized, self-loops dropped, sorted, deduplicated.
+/// In-place normalization of one homogeneous batch's edge list for the
+/// serving layer's coalescer/WAL: endpoints canonicalized, self-loops
+/// dropped, sorted, deduplicated. (The PLDS normalizes its batches itself,
+/// with the same result.)
 void normalize_edges(std::vector<Edge>& edges);
 
 /// Shuffles `edges` deterministically and slices them into insertion batches

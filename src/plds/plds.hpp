@@ -12,13 +12,15 @@
 //    holds) and moves there directly; desire levels of affected neighbors
 //    are recomputed as moves land.
 //
-// Per-neighbor bucket mutations are aggregated and grouped by the affected
-// vertex (semisort), so every VertexBuckets instance is mutated by exactly
-// one task per step — no locks on the update path.
-//
-// A move step whose scan work (1 + degree summed over its movers) is below
-// serial_cutoff() runs its loops inline on the batch thread; larger steps
-// fork one task per mover and per group. Both compute the same levels.
+// A batch sorts its edges once: both halves of every edge, by endpoint,
+// so each endpoint's adjacency is updated by one task. A move step's
+// movers restructure their own buckets and fix up their non-moving
+// neighbors' buckets (the `neighbor_moved` fix-ups). A step whose scan
+// work (1 + degree summed over its movers) is below serial_cutoff() runs
+// inline on the batch thread and applies each fix-up in place; a larger
+// step forks one task per mover, then groups the fix-ups by neighbor
+// (semisort) so every VertexBuckets instance is mutated by exactly one
+// task — no locks on the update path. Both compute the same levels.
 //
 // Reader-visible state is only the atomic per-vertex level array; CPLDS
 // layers descriptors on top via the marking hooks below.
@@ -107,13 +109,14 @@ class PLDS {
     return {moved_list_.data(), moved_count_.load(std::memory_order_acquire)};
   }
 
-  /// Calls f(w) for every edge (v, w) the current batch applies. Valid while
-  /// the batch's levels move (read-only then, so safe to call concurrently).
+  /// Calls f(w) once for every edge (v, w) the current batch applies. Valid
+  /// from the batch's first on_mark until the next batch starts (read-only
+  /// then, so safe to call concurrently).
   template <class F>
   void for_each_batch_neighbor(vertex_t v, F&& f) const {
     const auto [lo, hi] =
-        std::ranges::equal_range(batch_halves_, v, {}, &BatchHalf::at);
-    for (auto it = lo; it != hi; ++it) f(it->other);
+        std::ranges::equal_range(batch_halves_, v, {}, &Edge::u);
+    for (auto it = lo; it != hi; ++it) f(it->v);
   }
 
   /// Bytes the level buckets take: per vertex, the VertexBuckets object and
@@ -135,30 +138,27 @@ class PLDS {
     level_t to = kNoLevel;
   };
 
-  /// One direction of a batch edge.
-  struct BatchHalf {
-    vertex_t at;
-    vertex_t other;
-  };
-
-  /// Normalizes the batch, drops present (resp. absent) edges, applies it.
+  /// Sorts and deduplicates the batch's halves, applies the adjacency
+  /// changes, rebalances. Returns the applied edges, canonical and sorted.
   std::vector<Edge> apply_batch(std::vector<Edge> edges, bool insert);
-  /// Inserts/removes batch edges into/from the bucket structures, grouped by
-  /// endpoint, and keeps the grouped halves for for_each_batch_neighbor.
-  /// Returns the distinct endpoints.
-  std::vector<vertex_t> apply_adjacency(const std::vector<Edge>& edges,
-                                        bool insert);
+  /// Inserts/removes the sorted batch halves into/from the bucket
+  /// structures, each endpoint's halves in one task, and drops the halves
+  /// of edges already present (resp. absent).
+  void apply_adjacency(bool insert);
 
-  void insertion_rebalance(std::vector<vertex_t> dirty);
-  void deletion_rebalance(std::vector<vertex_t> dirty);
+  void insertion_rebalance(const std::vector<vertex_t>& endpoints);
+  void deletion_rebalance(const std::vector<vertex_t>& endpoints);
 
-  /// Stamps and marks a step's movers before any level changes; returns the
-  /// step's stamp.
-  std::uint64_t start_step(const std::vector<vertex_t>& movers,
-                           bool inline_step, bool insertion_phase);
-  /// Publishes the movers' new level and records them as moved.
-  void publish_levels(const std::vector<vertex_t>& movers, level_t to,
-                      bool inline_step);
+  /// Stamps and marks the step's movers_ before any level changes; returns
+  /// the step's stamp.
+  std::uint64_t start_step(bool inline_step, bool insertion_phase);
+  /// Fix-up `m`, emitted by movers_[mover]: an inline step applies it now
+  /// (its target never moves in the step), a forked step buffers it.
+  void fix_up(std::size_t mover, const NeighborMove& m, bool inline_step);
+  /// Publishes the movers' new level, records them as moved, and applies a
+  /// forked step's buffered fix-ups grouped by target. After it, fixed_
+  /// holds each vertex the step fixed up, once.
+  void finish_step(level_t to, bool inline_step);
 
   /// Calls hooks_.on_mark for v if this is v's first move in the batch.
   void mark_if_needed(vertex_t v, bool insertion_phase);
@@ -194,8 +194,9 @@ class PLDS {
   std::size_t num_edges_ = 0;
   Hooks hooks_;
 
-  // Batch-scoped scratch (stamp arrays avoid per-batch clearing).
-  std::vector<BatchHalf> batch_halves_;      // sorted by `at`
+  // Batch and step scratch, kept across batches (stamp arrays avoid
+  // per-batch clearing).
+  std::vector<Edge> batch_halves_;  // applied halves (u = at), sorted
   std::uint32_t batch_stamp_ = 0;
   std::vector<std::uint32_t> marked_stamp_;  // v marked in batch b
   std::vector<std::uint32_t> dirty_stamp_;   // v in the dirty/pending set
@@ -205,6 +206,11 @@ class PLDS {
   std::uint64_t move_step_ = 0;
   std::vector<std::uint64_t> moving_stamp_;  // v moves in step s
   std::vector<level_t> desire_;              // cached desire levels
+  std::vector<vertex_t> carried_;  // the next step's candidates / pending
+  std::vector<vertex_t> movers_;   // the current step's movers
+  std::vector<std::vector<NeighborMove>> emitted_;  // forked: per mover
+  std::vector<vertex_t> fixed_;    // distinct vertices fixed up this step
+  std::vector<std::uint64_t> fixed_stamp_;  // v in fixed_ in step s
 };
 
 }  // namespace cpkcore

@@ -12,10 +12,12 @@
 #include <string>
 #include <tuple>
 
+#include "core/cplds.hpp"
 #include "graph/batch.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "kcore/peel.hpp"
+#include "parallel/scheduler.hpp"
 #include "parallel/tuning.hpp"
 #include "plds/plds.hpp"
 #include "util/rng.hpp"
@@ -79,6 +81,34 @@ TEST(Plds, DeleteBatchRemovesAndValidates) {
   EXPECT_TRUE(plds.validate(&why)) << why;
   // Absent deletions are dropped.
   EXPECT_TRUE(plds.delete_batch(half).empty());
+}
+
+// A deletion batch holds both orientations of a present edge, a duplicate,
+// a self loop and an absent edge: it applies each present edge once,
+// returns it canonical and sorted, and lists each applied neighbor once.
+TEST(Plds, DeleteBatchReturnsPresentEdgesCanonicalAndSorted) {
+  PLDS plds(10, LDSParams::create(10));
+  plds.insert_batch({{1, 2}, {2, 3}, {4, 1}, {5, 6}});
+  const auto removed = plds.delete_batch(
+      {{4, 1}, {2, 1}, {3, 2}, {1, 2}, {3, 2}, {7, 7}, {8, 9}});
+  EXPECT_EQ(removed, (std::vector<Edge>{{1, 2}, {1, 4}, {2, 3}}));
+  EXPECT_EQ(plds.num_edges(), 1u);
+  EXPECT_TRUE(plds.has_edge(5, 6));
+  auto batch_neighbors = [&](vertex_t v) {
+    std::vector<vertex_t> out;
+    plds.for_each_batch_neighbor(v, [&](vertex_t w) { out.push_back(w); });
+    std::ranges::sort(out);
+    return out;
+  };
+  EXPECT_EQ(batch_neighbors(1), (std::vector<vertex_t>{2, 4}));
+  EXPECT_EQ(batch_neighbors(2), (std::vector<vertex_t>{1, 3}));
+  EXPECT_EQ(batch_neighbors(3), (std::vector<vertex_t>{2}));
+  EXPECT_EQ(batch_neighbors(4), (std::vector<vertex_t>{1}));
+  for (const vertex_t v : {0, 5, 6, 7, 8, 9}) {
+    EXPECT_TRUE(batch_neighbors(v).empty()) << "vertex " << v;
+  }
+  std::string why;
+  EXPECT_TRUE(plds.validate(&why)) << why;
 }
 
 TEST(Plds, InsertThenDeleteEverythingReturnsToLevelZero) {
@@ -348,28 +378,47 @@ TEST(Plds, CappedLevelsStillValidate) {
 // deletes and re-inserts every edge once.
 constexpr vertex_t kGoldenN = 20000;
 
-std::unique_ptr<PLDS> run_golden_stream() {
+std::vector<Edge> golden_edges() {
   auto edges = gen::social(kGoldenN, 4, kGoldenN / 2000, 40, 0.9, 11);
   Xoshiro256 rng(12);
   for (std::size_t i = edges.size(); i > 1; --i) {
     std::swap(edges[i - 1], edges[rng.next_below(i)]);
   }
+  return edges;
+}
+
+/// Edges [from, from + len) of `edges`, mod its size.
+std::vector<Edge> edge_range(const std::vector<Edge>& edges, std::size_t from,
+                             std::size_t len) {
+  std::vector<Edge> out;
+  for (std::size_t i = 0; i < len; ++i) {
+    out.push_back(edges[(from + i) % edges.size()]);
+  }
+  return out;
+}
+
+LDSParams golden_params() {
+  return LDSParams::create(kGoldenN, kDefaultDelta, kDefaultLambda,
+                           /*levels_per_group_cap=*/20);
+}
+
+/// Drives the stream with batches of 500 through `ds` (a PLDS or a CPLDS).
+template <class DS>
+void drive_golden_stream(DS& ds) {
+  const auto edges = golden_edges();
   const std::size_t m = edges.size();
   const std::size_t hole = m / 10;
   const std::size_t b = 500;
-  auto range = [&](std::size_t from, std::size_t len) {
-    std::vector<Edge> out;
-    for (std::size_t i = 0; i < len; ++i) out.push_back(edges[(from + i) % m]);
-    return out;
-  };
-  auto plds = std::make_unique<PLDS>(
-      kGoldenN, LDSParams::create(kGoldenN, kDefaultDelta, kDefaultLambda,
-                                  /*levels_per_group_cap=*/20));
-  plds->insert_batch(range(hole, m - hole));
+  ds.insert_batch(edge_range(edges, hole, m - hole));
   for (std::size_t pos = 0; pos < m; pos += b) {
-    plds->insert_batch(range(pos, b));
-    plds->delete_batch(range(pos + hole, b));
+    ds.insert_batch(edge_range(edges, pos, b));
+    ds.delete_batch(edge_range(edges, pos + hole, b));
   }
+}
+
+std::unique_ptr<PLDS> run_golden_stream() {
+  auto plds = std::make_unique<PLDS>(kGoldenN, golden_params());
+  drive_golden_stream(*plds);
   return plds;
 }
 
@@ -385,6 +434,12 @@ std::uint64_t level_digest(const PLDS& plds) {
   return h;
 }
 
+constexpr std::uint64_t kGoldenDigest = 0xd583864be6ad9a95ULL;
+
+/// The serial cutoffs a golden run checks: the default, 1 (every step
+/// forks) and one no step reaches (every step runs inline).
+constexpr std::size_t kGoldenCutoffs[] = {0, 1, std::size_t{1} << 40};
+
 // Golden levels: the digest was recorded from the dense per-level bucket
 // layout this one replaced. Levels are a function of the stream alone, so
 // it also holds at every worker count, and on both execution paths of a
@@ -394,16 +449,64 @@ TEST(Plds, GoldenSlidingWindowLevels) {
   // Resolve the sort cutoff first: it scales with serial_cutoff() when
   // CPKC_GRAIN is set, and must not pick up the overrides below.
   (void)sort_serial_cutoff();
-  for (const std::size_t cutoff : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{1} << 40}) {
+  for (const std::size_t cutoff : kGoldenCutoffs) {
     set_serial_cutoff(cutoff);
     const auto plds = run_golden_stream();
     set_serial_cutoff(0);
     std::string why;
     ASSERT_TRUE(plds->validate(&why)) << "cutoff " << cutoff << ": " << why;
-    EXPECT_EQ(level_digest(*plds), 0xd583864be6ad9a95ULL)
+    EXPECT_EQ(level_digest(*plds), kGoldenDigest) << "cutoff " << cutoff;
+  }
+}
+
+// The same stream through a CPLDS with dependency tracking on: the marking
+// hooks run inside every move step, between the movers' marks and their
+// neighbors' fix-ups, and must not change a level.
+TEST(Plds, GoldenSlidingWindowLevelsThroughCplds) {
+  (void)sort_serial_cutoff();
+  for (const std::size_t cutoff : kGoldenCutoffs) {
+    set_serial_cutoff(cutoff);
+    CPLDS cplds(kGoldenN, golden_params());
+    drive_golden_stream(cplds);
+    set_serial_cutoff(0);
+    std::string why;
+    ASSERT_TRUE(cplds.plds().validate(&why))
+        << "cutoff " << cutoff << ": " << why;
+    EXPECT_EQ(level_digest(cplds.plds()), kGoldenDigest)
         << "cutoff " << cutoff;
   }
+}
+
+// Spawns of one 2000-edge sliding-window step (an insertion and a deletion
+// batch) at the default cutoff on a 2-worker pool, after the batches that
+// settle the bulk load (they move thousands of vertices in forked steps).
+// Grouping the batch by endpoint at grain 1 forked ~3.3k tasks per batch
+// here; the per-endpoint pass at the default grain and inline steps took
+// 45 per batch (90 per step) on a 4-vCPU x86 VM.
+TEST(Plds, SlidingWindowBatchSpawnsStayFew) {
+  auto& sched = Scheduler::instance();
+  const std::size_t workers = sched.num_workers();
+  sched.set_num_workers(2);
+  set_serial_cutoff(2048);  // the default, whatever CPKC_GRAIN says
+  const auto edges = golden_edges();
+  const std::size_t hole = edges.size() / 10;
+  const std::size_t b = 2000;
+  PLDS plds(kGoldenN, golden_params());
+  plds.insert_batch(edge_range(edges, hole, edges.size() - hole));
+  std::size_t pos = 0;
+  for (; pos < 8 * b; pos += b) {
+    plds.insert_batch(edge_range(edges, pos, b));
+    plds.delete_batch(edge_range(edges, pos + hole, b));
+  }
+  const std::uint64_t before = sched.counters().spawns;
+  plds.insert_batch(edge_range(edges, pos, b));
+  plds.delete_batch(edge_range(edges, pos + hole, b));
+  const std::uint64_t spawns = sched.counters().spawns - before;
+  set_serial_cutoff(0);
+  sched.set_num_workers(workers);
+  EXPECT_LE(spawns, 200u);
+  std::string why;
+  EXPECT_TRUE(plds.validate(&why)) << why;
 }
 
 // The buckets store only non-empty levels, so their bytes are linear in
